@@ -441,18 +441,10 @@ func BenchmarkSelfRoute(b *testing.B) {
 
 // BenchmarkOnlineThroughput measures the online dispatcher under steady
 // random load on a 256-PE fabric.
-func BenchmarkOnlineThroughput(b *testing.B) { benchOnline(b) }
-
-// BenchmarkOnlineSharded is the same load with subtree sharding enabled:
-// independent sub-batches schedule concurrently over disjoint crossbar
-// views.
-func BenchmarkOnlineSharded(b *testing.B) { benchOnline(b, cst.WithOnlineSharding()) }
-
-func benchOnline(b *testing.B, opts ...cst.OnlineOption) {
-	b.Helper()
+func BenchmarkOnlineThroughput(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		sim, err := cst.NewOnline(256, opts...)
+		sim, err := cst.NewOnline(256)
 		if err != nil {
 			b.Fatal(err)
 		}

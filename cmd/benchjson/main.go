@@ -1,21 +1,13 @@
 // Command benchjson converts `go test -bench` text output into a stable
-// JSON document for CI artifacts and regression tracking (BENCH_core.json).
-// It can embed a second bench run as the baseline and reports per-benchmark
-// speedups against it.
-//
-// With -ledger the parsed benchmarks are additionally appended to the
-// perf lab's JSONL ledger (internal/lab schema), so ad-hoc bench runs and
-// cstload output feed the same regression gate as cstlab sweeps. With
-// -convert the positional arguments are previously emitted benchjson
-// documents whose benchmarks are normalized into the ledger — the one-shot
-// migration path for the committed BENCH_*.json files.
+// JSON document for CI artifacts. With -ledger the parsed benchmarks are
+// additionally appended to the perf lab's JSONL ledger (internal/lab
+// schema), so bench runs feed the same regression gate as cstlab sweeps.
+// Serving performance is measured by servebench, not through this tool.
 //
 // Examples:
 //
-//	go test -bench=. -run='^$' . | go run ./cmd/benchjson -out BENCH_core.json
-//	go test -bench=. -run='^$' . | go run ./cmd/benchjson -baseline pre.txt -out BENCH_core.json
-//	cstload -requests 500 | benchjson -ledger BENCH_ledger.jsonl -out BENCH_serve.json
-//	benchjson -convert -ledger BENCH_ledger.jsonl BENCH_core.json BENCH_obs.json
+//	go test -bench=. -run='^$' . | go run ./cmd/benchjson -out bench.json
+//	go test -bench=. -run='^$' . | go run ./cmd/benchjson -ledger BENCH_ledger.jsonl
 package main
 
 import (
@@ -45,13 +37,6 @@ type Benchmark struct {
 	Extra       map[string]float64 `json:"extra,omitempty"`
 }
 
-// Speedup compares one benchmark across the two runs.
-type Speedup struct {
-	Name        string  `json:"name"`
-	TimeRatio   float64 `json:"time_ratio"`             // baseline ns / current ns; > 1 is faster
-	AllocsRatio float64 `json:"allocs_ratio,omitempty"` // baseline allocs / current allocs
-}
-
 // Document is the emitted JSON schema.
 type Document struct {
 	Label      string      `json:"label,omitempty"`
@@ -59,33 +44,17 @@ type Document struct {
 	Goarch     string      `json:"goarch,omitempty"`
 	CPU        string      `json:"cpu,omitempty"`
 	Benchmarks []Benchmark `json:"benchmarks"`
-	Baseline   []Benchmark `json:"baseline,omitempty"`
-	Speedups   []Speedup   `json:"speedups,omitempty"`
 }
 
 func main() {
 	var (
-		in       = flag.String("in", "", "bench output file (default stdin)")
-		baseline = flag.String("baseline", "", "optional bench output file to embed as the baseline")
-		out      = flag.String("out", "", "output JSON file (default stdout)")
-		label    = flag.String("label", "", "free-form label stored in the document")
-		match    = flag.String("match", "", "keep only benchmarks whose name matches this regexp (applied to both runs)")
-		ledger   = flag.String("ledger", "", "also append parsed benchmarks to this JSONL ledger")
-		convert  = flag.Bool("convert", false, "positional args are benchjson documents to normalize into -ledger; nothing else is emitted")
+		in     = flag.String("in", "", "bench output file (default stdin)")
+		out    = flag.String("out", "", "output JSON file (default stdout)")
+		label  = flag.String("label", "", "free-form label stored in the document")
+		match  = flag.String("match", "", "keep only benchmarks whose name matches this regexp")
+		ledger = flag.String("ledger", "", "also append parsed benchmarks to this JSONL ledger")
 	)
 	flag.Parse()
-
-	if *convert {
-		if *ledger == "" {
-			fatal(fmt.Errorf("-convert requires -ledger"))
-		}
-		n, err := convertDocs(*ledger, flag.Args())
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "benchjson: appended %d entries to %s\n", n, *ledger)
-		return
-	}
 
 	var keep *regexp.Regexp
 	if *match != "" {
@@ -110,13 +79,6 @@ func main() {
 		fatal(err)
 	}
 	doc.Benchmarks = filter(doc.Benchmarks, keep)
-	if *baseline != "" {
-		if doc.Baseline, err = readBaseline(*baseline); err != nil {
-			fatal(err)
-		}
-		doc.Baseline = filter(doc.Baseline, keep)
-		doc.Speedups = speedups(doc.Baseline, doc.Benchmarks)
-	}
 
 	var w io.Writer = os.Stdout
 	if *out != "" {
@@ -145,8 +107,7 @@ func main() {
 // ledgerEntries normalizes a document's benchmarks into lab ledger entries:
 // one ns/op entry per benchmark, plus B/op and allocs/op entries when the
 // run recorded them. The machine fingerprint comes from the document's
-// goos/goarch/cpu header when present (converted historical documents keep
-// their original machine), falling back to the local machine.
+// goos/goarch/cpu header when present, falling back to the local machine.
 func ledgerEntries(doc Document, source string) []lab.Entry {
 	st := lab.NewStamp(source, doc.Label)
 	if doc.Goos != "" {
@@ -180,50 +141,6 @@ func sortedKeys(m map[string]float64) []string {
 	}
 	sort.Strings(keys)
 	return keys
-}
-
-// convertDocs reads benchjson documents and appends their benchmarks to the
-// ledger, returning how many entries were written.
-func convertDocs(ledger string, paths []string) (int, error) {
-	if len(paths) == 0 {
-		return 0, fmt.Errorf("-convert: no documents given")
-	}
-	total := 0
-	for _, path := range paths {
-		data, err := os.ReadFile(path)
-		if err != nil {
-			return total, err
-		}
-		var doc Document
-		if err := json.Unmarshal(data, &doc); err != nil {
-			return total, fmt.Errorf("%s: %v", path, err)
-		}
-		entries := ledgerEntries(doc, "convert:"+path)
-		if err := lab.Append(ledger, entries); err != nil {
-			return total, err
-		}
-		total += len(entries)
-	}
-	return total, nil
-}
-
-// readBaseline loads a baseline from either raw `go test -bench` text or a
-// previously emitted benchjson document (its "benchmarks" become the
-// baseline), detected by the leading byte.
-func readBaseline(path string) ([]Benchmark, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	trimmed := strings.TrimSpace(string(data))
-	if strings.HasPrefix(trimmed, "{") {
-		var prev Document
-		if err := json.Unmarshal(data, &prev); err != nil {
-			return nil, fmt.Errorf("baseline %s: %v", path, err)
-		}
-		return prev.Benchmarks, nil
-	}
-	return parse(strings.NewReader(trimmed), nil)
 }
 
 // parse reads `go test -bench` output: benchmark result lines plus the
@@ -287,26 +204,6 @@ func parse(r io.Reader, doc *Document) ([]Benchmark, error) {
 	return out, sc.Err()
 }
 
-func speedups(base, cur []Benchmark) []Speedup {
-	byName := map[string]Benchmark{}
-	for _, b := range base {
-		byName[b.Name] = b
-	}
-	var out []Speedup
-	for _, c := range cur {
-		b, ok := byName[c.Name]
-		if !ok || c.NsPerOp == 0 {
-			continue
-		}
-		s := Speedup{Name: c.Name, TimeRatio: round2(b.NsPerOp / c.NsPerOp)}
-		if c.AllocsPerOp > 0 {
-			s.AllocsRatio = round2(float64(b.AllocsPerOp) / float64(c.AllocsPerOp))
-		}
-		out = append(out, s)
-	}
-	return out
-}
-
 // filter drops benchmarks whose name does not match keep (nil keeps all).
 func filter(in []Benchmark, keep *regexp.Regexp) []Benchmark {
 	if keep == nil {
@@ -320,8 +217,6 @@ func filter(in []Benchmark, keep *regexp.Regexp) []Benchmark {
 	}
 	return out
 }
-
-func round2(v float64) float64 { return float64(int64(v*100+0.5)) / 100 }
 
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "benchjson:", err)

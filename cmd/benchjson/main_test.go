@@ -1,8 +1,6 @@
 package main
 
 import (
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 
@@ -88,42 +86,5 @@ func TestLedgerEntriesNormalization(t *testing.T) {
 	if entries[1].Unit != "B/op" || entries[1].Value != 64 ||
 		entries[2].Unit != "allocs/op" || entries[2].Value != 3 {
 		t.Errorf("memory entries: %+v %+v", entries[1], entries[2])
-	}
-}
-
-// TestConvertDocs round-trips a committed-style BENCH_*.json document into
-// the ledger — the migration path for the historical bench artifacts.
-func TestConvertDocs(t *testing.T) {
-	dir := t.TempDir()
-	docPath := filepath.Join(dir, "BENCH_x.json")
-	doc := `{
-  "label": "seed",
-  "goos": "linux",
-  "goarch": "amd64",
-  "cpu": "TestCPU",
-  "benchmarks": [
-    {"name": "BenchmarkA", "iterations": 10, "ns_per_op": 100, "bytes_per_op": 8, "allocs_per_op": 1}
-  ]
-}`
-	if err := os.WriteFile(docPath, []byte(doc), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	ledger := filepath.Join(dir, "ledger.jsonl")
-	n, err := convertDocs(ledger, []string{docPath})
-	if err != nil || n != 3 {
-		t.Fatalf("convert: n=%d err=%v", n, err)
-	}
-	entries, err := lab.ReadLedger(ledger)
-	if err != nil || len(entries) != 3 {
-		t.Fatalf("ledger: %d entries, err=%v", len(entries), err)
-	}
-	if entries[0].Source != "convert:"+docPath || entries[0].Label != "seed" {
-		t.Errorf("entry: %+v", entries[0])
-	}
-	if _, err := convertDocs(ledger, nil); err == nil {
-		t.Error("no documents must error")
-	}
-	if _, err := convertDocs(ledger, []string{filepath.Join(dir, "missing.json")}); err == nil {
-		t.Error("missing document must error")
 	}
 }

@@ -94,7 +94,7 @@ func runSweep(args []string, stdout, stderr io.Writer) int {
 	var (
 		ns       = fs.String("n", "32,64,128", "comma-separated leaf counts (powers of two)")
 		ws       = fs.String("w", "2,8", "comma-separated set widths")
-		engines  = fs.String("engines", "padr,sim,online", "comma-separated engines (padr, sim, online, online-sharded, hybrid)")
+		engines  = fs.String("engines", "padr,sim,online", "comma-separated engines (padr, sim, online, hybrid)")
 		workload = fs.String("workload", lab.WorkloadChain, "set family: chain, split, random, bitrev or crossing")
 		reps     = fs.Int("reps", 5, "timed runs per grid point (median is reported)")
 		seed     = fs.Int64("seed", 1, "random-workload seed")

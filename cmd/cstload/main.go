@@ -6,8 +6,11 @@
 // tracked as a separate connection-error counter — they are the load
 // generator's problem, not a server-side rejection, and mixing the two
 // corrupted more than one investigation. The human-readable report goes
-// to stderr; stdout carries `go test -bench`-style lines so the output
-// pipes straight into cmd/benchjson for BENCH_serve.json.
+// to stderr; stdout carries `go test -bench`-style lines that
+// cmd/benchjson can turn into ledger rows. cstload is the ad-hoc driver
+// for a running server; the serving benchmark is servebench
+// (BENCHMARK.json), which pins server and load generator to separate
+// cores and checks every answer.
 //
 // With -wire the clients speak the binary wire protocol instead of
 // HTTP/JSON: each client holds one persistent connection and keeps up to
@@ -26,7 +29,7 @@
 //
 // With -delta-workload each client opens one long-lived delta session
 // (session ids spread across the server's pinned shards) and streams
-// incremental mutations against it — POST /schedule-delta over HTTP, v4
+// incremental mutations against it — POST /schedule-delta over HTTP,
 // delta frames in wire mode. -delta-overlap sets how much of the session
 // set survives each delta (0.9 = 10% churn). Bench lines use a Delta
 // prefix (BenchmarkDelta*, BenchmarkDeltaWire*).
@@ -34,7 +37,7 @@
 // Examples:
 //
 //	cstload -addr http://127.0.0.1:8080 -clients 8 -duration 5s
-//	cstload -addr http://127.0.0.1:8080 -requests 500 | benchjson -out BENCH_serve.json
+//	cstload -addr http://127.0.0.1:8080 -requests 500 | benchjson -ledger BENCH_ledger.jsonl
 //	cstload -wire 127.0.0.1:8081 -clients 4 -pipeline 16 -requests 2000
 //	cstload -addr http://127.0.0.1:8080 -set-workload crossing -set-size 8 -requests 200
 //	cstload -wire 127.0.0.1:8081 -set-workload bitrev -requests 200
@@ -92,7 +95,7 @@ func parseFlags(args []string) (loadOptions, error) {
 	fs.Int64Var(&o.seed, "seed", 1, "request-pattern seed")
 	fs.StringVar(&o.setWorkload, "set-workload", "", "submit whole sets to the hybrid planner: bitrev, crossing or random (empty = pair requests)")
 	fs.IntVar(&o.setSize, "set-size", 8, "communications per generated set (bitrev ignores this)")
-	fs.BoolVar(&o.deltaMode, "delta-workload", false, "drive session-scoped delta scheduling (POST /schedule-delta, or v4 delta frames in wire mode)")
+	fs.BoolVar(&o.deltaMode, "delta-workload", false, "drive session-scoped delta scheduling (POST /schedule-delta, or delta frames in wire mode)")
 	fs.Float64Var(&o.deltaOverlap, "delta-overlap", 0.9, "delta mode: set overlap ratio between consecutive schedules (0 <= r < 1)")
 	if err := fs.Parse(args); err != nil {
 		return o, err
@@ -563,8 +566,8 @@ func runHTTPDeltaClient(o loadOptions, budget *budgeter, gen *deltaGen, session 
 	}
 }
 
-// runWireDeltaClient drives one session's deltas over a persistent v4
-// wire connection, one in flight — a session's deltas are ordered on its
+// runWireDeltaClient drives one session's deltas over a persistent wire
+// connection, one in flight — a session's deltas are ordered on its
 // pinned shard, so pipelining them would only measure queueing.
 func runWireDeltaClient(o loadOptions, budget *budgeter, gen *deltaGen, session uint64, r *report) {
 	c, err := wire.Dial(o.wireAddr, 10*time.Second)
@@ -573,12 +576,6 @@ func runWireDeltaClient(o loadOptions, budget *budgeter, gen *deltaGen, session 
 		return
 	}
 	defer c.Close()
-	if c.ProtocolVersion() < wire.VersionDelta {
-		fmt.Fprintf(os.Stderr, "cstload: server negotiated v%d, deltas need v%d\n",
-			c.ProtocolVersion(), wire.VersionDelta)
-		r.ConnErrors++
-		return
-	}
 
 	var req wire.DeltaRequest
 	var resp wire.DeltaResponse

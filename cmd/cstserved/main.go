@@ -53,7 +53,6 @@ type options struct {
 	flightK       int
 	audit         bool
 	engineMetrics bool
-	shardSubtrees bool
 	chaos         int
 	chaosRounds   int
 	seed          int64
@@ -80,7 +79,6 @@ func parseFlags(args []string) (options, error) {
 	fs.IntVar(&o.flightK, "flight-k", cst.DefaultFlightK, "span trees pinned by the flight recorder per class (slowest, errored) for /trace/flight; 0 disables")
 	fs.BoolVar(&o.audit, "audit", false, "attach a live power auditor to the trace stream; report on drain")
 	fs.BoolVar(&o.engineMetrics, "engine-metrics", false, "thread metrics/trace into the shard engines (cst_online_*/cst_padr_* series)")
-	fs.BoolVar(&o.shardSubtrees, "shard-subtrees", false, "enable subtree sharding inside each fabric")
 	fs.IntVar(&o.chaos, "chaos", 0, "inject this many random faults per shard (0 = none)")
 	fs.IntVar(&o.chaosRounds, "chaos-rounds", 64, "simulated-round window the chaos plan spans")
 	fs.Int64Var(&o.seed, "seed", 1, "chaos plan seed")
@@ -159,7 +157,6 @@ func newServer(o options, out io.Writer) (*server, error) {
 		Tracer:          s.tracer,
 		Faults:          faults,
 		EngineMetrics:   o.engineMetrics,
-		Sharding:        o.shardSubtrees,
 	})
 	if err != nil {
 		if s.traceFile != nil {

@@ -546,7 +546,7 @@ var NewTracer = obs.NewTracer
 
 // Span tracing (see OBSERVABILITY.md §Spans): request-scoped timing trees
 // recorded through a Tracer. SpanContext propagates across protocol hops
-// (the X-CST-Trace header, wire v3 trace blocks); the FlightRecorder pins
+// (the X-CST-Trace header, wire trace blocks); the FlightRecorder pins
 // the slowest and errored span trees for /trace/flight.
 type (
 	SpanContext    = obs.SpanContext
@@ -592,11 +592,6 @@ func WithOnlineMetrics(r *Metrics) OnlineOption { return online.WithRegistry(r) 
 
 // WithOnlineTrace streams the online dispatcher's batch events.
 func WithOnlineTrace(t *Tracer) OnlineOption { return online.WithTracer(t) }
-
-// WithOnlineSharding lets the online dispatcher split batches into
-// independent subtree shards and schedule them concurrently; results and
-// power ledgers are identical to the unsharded dispatcher.
-func WithOnlineSharding() OnlineOption { return online.WithSharding() }
 
 // MetricsSummary renders a per-engine metrics snapshot (latency quantiles,
 // messages per round, changes per switch) as a markdown table.
@@ -849,9 +844,8 @@ type (
 	WireResponse = wire.Response
 )
 
-// WireSetRequest and WireSetResponse are the v2 whole-set frames: a
+// WireSetRequest and WireSetResponse are the whole-set frames: a
 // communication set in, the hybrid plan's shape and power bill back.
-// Sessions that negotiated v1 cannot carry them.
 type (
 	WireSetRequest  = wire.SetRequest
 	WireSetResponse = wire.SetResponse

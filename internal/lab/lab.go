@@ -33,13 +33,11 @@ import (
 	"cst/internal/stats"
 )
 
-// Engines the lab can drive. "online-sharded" is the online batcher with
-// LCA-disjoint subtree sharding enabled.
+// Engines the lab can drive.
 const (
-	EnginePADR          = "padr"
-	EngineSim           = "sim"
-	EngineOnline        = "online"
-	EngineOnlineSharded = "online-sharded"
+	EnginePADR   = "padr"
+	EngineSim    = "sim"
+	EngineOnline = "online"
 	// EngineHybrid is the composite planner for arbitrary (possibly
 	// non-well-nested) sets: decompose, peel well-nested batches, color
 	// the residual. It has no closed-form round count — its guarantee is
@@ -51,17 +49,6 @@ const (
 	// delta path — work scales with |delta|·log₂N (dirty root paths), not
 	// with N like a from-scratch run. Measurements come from RunDeltaSweep.
 	EngineDelta = "delta"
-)
-
-// Serving protocols as twin engines: client-observed request latency
-// against a live scheduling pool, one model per protocol so the HTTP/JSON
-// and binary-wire paths get independently fitted constants (the work
-// terms are identical — the protocols differ exactly in the per-request
-// intercept, which is the quantity the wire path exists to shrink).
-// Measurements come from cstload runs, not RunSweep.
-const (
-	EngineServeHTTP = "serve-http"
-	EngineServeWire = "serve-wire"
 )
 
 // Workload families the lab sweeps. All are deterministic for a given
@@ -157,16 +144,13 @@ const (
 // control-word traffic (2N−2)·(w+1) — Phase 1 plus w Phase 2 waves — and
 // is the dominant cost for the sequential engine. The concurrent sim adds
 // a per-wave barrier term (w+1 goroutine rendezvous), and the online
-// batcher adds a per-request admission term (m submissions). The serve
-// engines share the online shape — scheduling work plus per-request
-// admission — with the protocol's framing/transport cost landing in the
-// intercept, which is why each protocol is its own engine.
+// batcher adds a per-request admission term (m submissions).
 func latFeatures(engine string, n, w, m int) []float64 {
 	words := float64((2*n - 2) * (w + 1))
 	switch engine {
 	case EngineSim:
 		return []float64{1, words, float64(w + 1)}
-	case EngineOnline, EngineOnlineSharded, EngineServeHTTP, EngineServeWire, EngineHybrid:
+	case EngineOnline, EngineHybrid:
 		return []float64{1, words, float64(m)}
 	case EngineDelta:
 		// The incremental apply re-floats control words only along the
@@ -184,7 +168,7 @@ func latFeatureNames(engine string) []string {
 	switch engine {
 	case EngineSim:
 		return []string{"1", "words", "waves"}
-	case EngineOnline, EngineOnlineSharded, EngineServeHTTP, EngineServeWire, EngineHybrid:
+	case EngineOnline, EngineHybrid:
 		return []string{"1", "words", "requests"}
 	case EngineDelta:
 		return []string{"1", "delta·log2N"}

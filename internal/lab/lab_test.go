@@ -80,24 +80,6 @@ func TestSweepRandomWorkload(t *testing.T) {
 	}
 }
 
-func TestSweepShardedOnline(t *testing.T) {
-	res, err := RunSweep(SweepConfig{
-		Ns:      []int{64, 128, 256},
-		Ws:      []int{2, 4},
-		Engines: []string{EngineOnlineSharded},
-		Reps:    2,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, row := range res.Rows {
-		if row.Rounds != row.Pred.Rounds {
-			t.Errorf("sharded online N=%d w=%d: rounds %d, twin predicts %d",
-				row.N, row.W, row.Rounds, row.Pred.Rounds)
-		}
-	}
-}
-
 // TestSweepHybridWorkloads runs the hybrid engine over its adversarial
 // set families: rows flip to bound scoring (rounds ≤ the FirstFit
 // comparator, units ≤ 3·bound) and the ledger entries carry the bound
@@ -188,46 +170,6 @@ func TestFitLatencyRecoversPlantedModel(t *testing.T) {
 	}
 	if _, err := FitLatency("nope", ms); err == nil {
 		t.Error("fitting an unmeasured engine must error")
-	}
-}
-
-// The protocol dimension: the HTTP and wire serve engines share one work
-// model but fit independently, so a mixed measurement set yields two
-// models whose intercepts carry each protocol's transport cost.
-func TestFitLatencyPerProtocol(t *testing.T) {
-	var ms []Measurement
-	for _, n := range []int{64, 128, 256} {
-		for _, w := range []int{2, 4, 8} {
-			words := float64((2*n - 2) * (w + 1))
-			// Same scheduling work, different per-request overhead: the
-			// HTTP path pays 50µs of framing per request, the wire path 2µs.
-			ms = append(ms,
-				Measurement{Engine: EngineServeHTTP, N: n, W: w, M: w,
-					LatencyNS: 50_000 + 2*words + 100*float64(w)},
-				Measurement{Engine: EngineServeWire, N: n, W: w, M: w,
-					LatencyNS: 2_000 + 2*words + 100*float64(w)})
-		}
-	}
-	httpM, err := FitLatency(EngineServeHTTP, ms)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wireM, err := FitLatency(EngineServeWire, ms)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(httpM.Coeffs) != 3 || httpM.FeatureNames[2] != "requests" {
-		t.Fatalf("serve model shape: %v %v", httpM.Coeffs, httpM.FeatureNames)
-	}
-	if math.Abs(httpM.Coeffs[0]-50_000) > 1e-4 || math.Abs(wireM.Coeffs[0]-2_000) > 1e-4 {
-		t.Fatalf("intercepts: http %v wire %v — protocols not fitted independently",
-			httpM.Coeffs[0], wireM.Coeffs[0])
-	}
-	if math.Abs(httpM.Coeffs[1]-wireM.Coeffs[1]) > 1e-6 {
-		t.Errorf("shared work term drifted: http %v wire %v", httpM.Coeffs[1], wireM.Coeffs[1])
-	}
-	if httpM.ResidMax > 1e-4 || wireM.ResidMax > 1e-4 {
-		t.Errorf("exact laws must fit exactly: %v %v", httpM.ResidMax, wireM.ResidMax)
 	}
 }
 

@@ -215,13 +215,9 @@ func measure(engine, workload string, n, w, reps int, seed int64) (*Measurement,
 			m.MaxUnits = res.Report.MaxUnits()
 		}
 
-	case EngineOnline, EngineOnlineSharded:
+	case EngineOnline:
 		for i := 0; i < reps; i++ {
-			var opts []online.Option
-			if engine == EngineOnlineSharded {
-				opts = append(opts, online.WithSharding())
-			}
-			osim, err := online.New(n, opts...)
+			osim, err := online.New(n)
 			if err != nil {
 				return nil, err
 			}

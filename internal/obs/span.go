@@ -69,7 +69,7 @@ func (c SpanContext) Valid() bool { return c.Sampled && c.Trace != 0 }
 
 // TraceHeader is the HTTP header carrying a SpanContext across process
 // boundaries: "<trace:16hex>-<span:16hex>-<flags:2hex>", flags bit 0 =
-// sampled. The same triple rides in wire-protocol v3 frames.
+// sampled. The same triple rides in every wire-protocol request frame.
 const TraceHeader = "X-CST-Trace"
 
 // FormatTraceHeader renders ctx in TraceHeader syntax ("" when no trace).

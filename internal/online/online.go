@@ -19,8 +19,6 @@ package online
 import (
 	"fmt"
 	"math/rand"
-	"sort"
-	"sync"
 	"time"
 
 	"cst/internal/comm"
@@ -105,14 +103,12 @@ type Simulator struct {
 	busyPE   []bool
 	now      int
 	stats    Stats
-	shard    bool
 	inj      *fault.Injector
 
 	// Pooled scheduling state, reused across Dispatch calls: one engine for
-	// whole batches, one per shard slot, a scratch Set for the batch, and a
-	// scratch crossbar snapshot for the failure rollback.
+	// whole batches, a scratch Set for the batch, and a scratch crossbar
+	// snapshot for the failure rollback.
 	eng      *padr.Engine
-	shards   []*shardCtx
 	batchSet *comm.Set
 	cfgSnap  []xbar.Config
 
@@ -142,19 +138,6 @@ type Simulator struct {
 	sessions map[uint64]*deltaSession
 	deltaCap int
 	dmet     deltaMetrics
-}
-
-// shardCtx is one pooled shard slot: an engine plus its crossbar view. The
-// view aliases the simulator's physical switches inside the shard's subtree
-// and private inert crossbars everywhere else, so concurrently running
-// shards never write (or meter-read) each other's switches.
-type shardCtx struct {
-	eng    *padr.Engine
-	view   []*xbar.Switch
-	fill   []*xbar.Switch
-	set    *comm.Set
-	rounds int
-	err    error
 }
 
 // Option configures a Simulator.
@@ -195,9 +178,7 @@ func (s *Simulator) traceID() string {
 // WithFaults threads a fault injector into the batch engines: every
 // dispatched batch runs under injection, a failed batch is retried on a
 // fresh engine (the transient-fault recovery path), and a batch that keeps
-// failing is quarantined. Sharding is skipped while faults are armed — the
-// injector's run counter is advanced per engine run and concurrent shard
-// engines would race it. A nil injector is inert.
+// failing is quarantined. A nil injector is inert.
 func WithFaults(in *fault.Injector) Option {
 	return func(s *Simulator) { s.inj = in }
 }
@@ -240,18 +221,6 @@ func newSimMetrics(r *obs.Registry) simMetrics {
 		batchSize:   r.Histogram("cst_online_batch_size", "communications per dispatched batch", roundBuckets()),
 		latency:     r.Histogram("cst_online_request_latency_rounds", "completion round minus arrival round", roundBuckets()),
 	}
-}
-
-// WithSharding lets Dispatch split a batch into independent sub-batches
-// whose circuits live in disjoint subtrees and run them through parallel
-// pooled engines. The shards reproduce the unsharded dispatch exactly: no
-// circuit touches a switch above its sub-batch's subtree root, the batch
-// width is the max over shard widths, and the power ledger is bitwise
-// identical. Sharding is silently skipped when a registry or tracer is
-// attached, because the inner engines' shared metric attribution is only
-// well-defined for one engine at a time.
-func WithSharding() Option {
-	return func(s *Simulator) { s.shard = true }
 }
 
 // New builds a simulator over a CST with n leaves.
@@ -544,15 +513,8 @@ func (s *Simulator) restoreCrossbars(snap []xbar.Config) {
 // runBatch schedules one oriented batch over the shared crossbars and
 // returns the rounds it consumed. The whole-batch engine is pooled: the
 // first dispatch builds it, later dispatches Reset it, so steady-state
-// dispatching allocates no engine state. When sharding is enabled (and no
-// registry/tracer is attached) the batch is first split into independent
-// subtree groups that run concurrently.
+// dispatching allocates no engine state.
 func (s *Simulator) runBatch(set *comm.Set, reflected bool) (int, error) {
-	if s.shard && s.reg == nil && s.tracer == nil && s.inj == nil {
-		if rounds, ok, err := s.runSharded(set, reflected); ok {
-			return rounds, err
-		}
-	}
 	var err error
 	if s.eng == nil {
 		s.eng, err = padr.New(s.tree, set,
@@ -581,133 +543,6 @@ func (s *Simulator) runBatch(set *comm.Set, reflected bool) (int, error) {
 	// per-batch reports would be discarded anyway. This keeps steady-state
 	// dispatch at zero allocations (pinned by TestDispatchSteadyStateAllocs).
 	return s.eng.RunRounds()
-}
-
-// runSharded splits the batch into sub-batches with disjoint subtree
-// footprints and runs them through parallel pooled engines. Returns
-// ok=false when the batch has a single group (the pooled whole-batch path
-// is cheaper than one shard plus plan overhead).
-//
-// Correctness: the oriented comms of a well-nested set have laminar LCA
-// spans, so sorting by (lo asc, hi desc) and merging overlapping spans
-// yields groups whose subtrees are pairwise disjoint. Phase 1 above a group
-// root sees only empty up-words (stored state zero, no matches), so the
-// unsharded run never configures or meters a switch above a group root —
-// which is exactly the state the shard views leave untouched.
-func (s *Simulator) runSharded(set *comm.Set, reflected bool) (int, bool, error) {
-	if len(set.Comms) < 2 {
-		return 0, false, nil
-	}
-	// A circuit's switch footprint lives inside the subtree of its
-	// endpoints' LCA, whose PE span is a dyadic interval. Dyadic intervals
-	// are laminar — any two are nested or disjoint — so after sorting by
-	// (lo asc, hi desc) a single merge pass groups the comms into maximal
-	// disjoint subtrees, and each group's root is its first (containing)
-	// comm's LCA.
-	type item struct {
-		lo, hi int // PE span of the comm's LCA subtree, half open
-		lca    topology.Node
-		c      comm.Comm
-	}
-	items := make([]item, len(set.Comms))
-	for i, c := range set.Comms {
-		lca := s.tree.LCA(c.Src, c.Dst)
-		lo, hi := s.tree.Span(lca)
-		items[i] = item{lo: lo, hi: hi, lca: lca, c: c}
-	}
-	sort.Slice(items, func(i, j int) bool {
-		if items[i].lo != items[j].lo {
-			return items[i].lo < items[j].lo
-		}
-		return items[i].hi > items[j].hi
-	})
-	type groupSpan struct {
-		lo, hi int // item index range [lo, hi)
-		root   topology.Node
-		r      int // group subtree span end
-	}
-	var groups []groupSpan
-	for i, it := range items {
-		if len(groups) > 0 && it.lo < groups[len(groups)-1].r {
-			groups[len(groups)-1].hi = i + 1
-			continue
-		}
-		groups = append(groups, groupSpan{lo: i, hi: i + 1, root: it.lca, r: it.hi})
-	}
-	if len(groups) < 2 {
-		return 0, false, nil
-	}
-
-	for len(s.shards) < len(groups) {
-		ctx := &shardCtx{
-			view: make([]*xbar.Switch, len(s.switches)),
-			fill: make([]*xbar.Switch, len(s.switches)),
-			set:  &comm.Set{N: s.tree.Leaves()},
-		}
-		s.tree.EachSwitch(func(nd topology.Node) { ctx.fill[nd] = xbar.NewSwitch() })
-		s.shards = append(s.shards, ctx)
-	}
-
-	var wg sync.WaitGroup
-	for gi, g := range groups {
-		ctx := s.shards[gi]
-		ctx.set.Comms = ctx.set.Comms[:0]
-		for _, it := range items[g.lo:g.hi] {
-			ctx.set.Comms = append(ctx.set.Comms, it.c)
-		}
-		// The view aliases physical switches only inside the group's
-		// subtree (the reflected subtree when running mirrored), private
-		// inert fillers elsewhere. The fillers are provably never written:
-		// no circuit of this shard leaves its subtree.
-		root := g.root
-		if reflected {
-			root = s.tree.Reflect(root)
-		}
-		copy(ctx.view, ctx.fill)
-		s.graft(ctx.view, root)
-
-		wg.Add(1)
-		go func(ctx *shardCtx) {
-			defer wg.Done()
-			ctx.rounds, ctx.err = 0, nil
-			var err error
-			if ctx.eng == nil {
-				ctx.eng, err = padr.New(s.tree, ctx.set,
-					padr.WithSharedCrossbars(ctx.view),
-					padr.WithReflection(reflected))
-			} else {
-				err = ctx.eng.Reset(ctx.set, padr.WithReflection(reflected))
-			}
-			if err != nil {
-				ctx.err = err
-				return
-			}
-			ctx.rounds, ctx.err = ctx.eng.RunRounds()
-		}(ctx)
-	}
-	wg.Wait()
-
-	rounds := 0
-	for _, ctx := range s.shards[:len(groups)] {
-		if ctx.err != nil {
-			return 0, true, ctx.err
-		}
-		if ctx.rounds > rounds {
-			rounds = ctx.rounds
-		}
-	}
-	return rounds, true, nil
-}
-
-// graft points view at the physical switches for every internal node in
-// subtree(root).
-func (s *Simulator) graft(view []*xbar.Switch, root topology.Node) {
-	if s.tree.IsLeaf(root) {
-		return
-	}
-	view[root] = s.switches[root]
-	s.graft(view, s.tree.Left(root))
-	s.graft(view, s.tree.Right(root))
 }
 
 // TakeCompleted returns the completion records appended since the previous

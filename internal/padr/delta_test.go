@@ -264,16 +264,16 @@ func TestDeltaInvalidRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	bad := []Delta{
-		{Remove: []comm.Comm{{Src: 2, Dst: 3}}},                                  // not in set
-		{Add: []comm.Comm{{Src: 0, Dst: 10}}},                                    // src busy
-		{Add: []comm.Comm{{Src: 2, Dst: 6}}},                                     // dst busy
-		{Add: []comm.Comm{{Src: 10, Dst: 4}}},                                    // left oriented
-		{Add: []comm.Comm{{Src: 3, Dst: 3}}},                                     // self loop
-		{Add: []comm.Comm{{Src: -1, Dst: 3}}},                                    // out of range
-		{Add: []comm.Comm{{Src: 2, Dst: 20}}},                                    // out of range
-		{Add: []comm.Comm{{Src: 5, Dst: 12}}},                                    // crosses 1->6 and 8->9
+		{Remove: []comm.Comm{{Src: 2, Dst: 3}}},                                     // not in set
+		{Add: []comm.Comm{{Src: 0, Dst: 10}}},                                       // src busy
+		{Add: []comm.Comm{{Src: 2, Dst: 6}}},                                        // dst busy
+		{Add: []comm.Comm{{Src: 10, Dst: 4}}},                                       // left oriented
+		{Add: []comm.Comm{{Src: 3, Dst: 3}}},                                        // self loop
+		{Add: []comm.Comm{{Src: -1, Dst: 3}}},                                       // out of range
+		{Add: []comm.Comm{{Src: 2, Dst: 20}}},                                       // out of range
+		{Add: []comm.Comm{{Src: 5, Dst: 12}}},                                       // crosses 1->6 and 8->9
 		{Remove: []comm.Comm{{Src: 8, Dst: 9}}, Add: []comm.Comm{{Src: 9, Dst: 9}}}, // valid prefix, bad add
-		{Remove: []comm.Comm{{Src: 0, Dst: 7}, {Src: 0, Dst: 7}}},                // double remove
+		{Remove: []comm.Comm{{Src: 0, Dst: 7}, {Src: 0, Dst: 7}}},                   // double remove
 	}
 	for i, d := range bad {
 		_, err := eng.Apply(d)

@@ -1073,39 +1073,38 @@ func (e *Engine) configure(u topology.Node, in ctrl.Down) (left, right ctrl.Down
 	if e.reflected {
 		phys = e.tree.Reflect(u)
 	}
-	st := e.stored[u]
+	st := &e.stored[u]
 	mBefore := st.M
 	before := e.switches[phys].Config()
-	defer func() {
-		e.stored[u] = st
-		if dm := mBefore - st.M; dm != 0 {
-			// A matched pair started here: keep the subtree totals on the
-			// root path exact so future rounds prune correctly.
-			for v := u; v >= e.tree.Root(); v = e.tree.Parent(v) {
-				e.matchedSub[v] -= dm
-			}
-		}
-		if err != nil {
-			return
-		}
-		if e.obs.Configured != nil {
-			e.obs.Configured(phys, e.switches[phys].Config())
-		}
-		// Trace only genuine reconfigurations: the events are the audit
-		// trail for Theorem 8's O(1)-changes-per-switch claim.
-		if e.tracer != nil {
-			if after := e.switches[phys].Config(); after != before {
-				e.tracer.Emit(obs.Event{
-					Type: "switch.config", Engine: "padr", Round: e.curRound,
-					Node: int(phys), Config: after.String(),
-				})
-			}
-		}
-	}()
 	if e.reflected {
-		return Step(&st, sideSwapper{e.switches[phys]}, in, e.sel)
+		left, right, err = Step(st, sideSwapper{e.switches[phys]}, in, e.sel)
+	} else {
+		left, right, err = Step(st, e.switches[phys], in, e.sel)
 	}
-	return Step(&st, e.switches[phys], in, e.sel)
+	if dm := mBefore - st.M; dm != 0 {
+		// A matched pair started here: keep the subtree totals on the
+		// root path exact so future rounds prune correctly.
+		for v := u; v >= e.tree.Root(); v = e.tree.Parent(v) {
+			e.matchedSub[v] -= dm
+		}
+	}
+	if err != nil {
+		return left, right, err
+	}
+	if e.obs.Configured != nil {
+		e.obs.Configured(phys, e.switches[phys].Config())
+	}
+	// Trace only genuine reconfigurations: the events are the audit
+	// trail for Theorem 8's O(1)-changes-per-switch claim.
+	if e.tracer != nil {
+		if after := e.switches[phys].Config(); after != before {
+			e.tracer.Emit(obs.Event{
+				Type: "switch.config", Engine: "padr", Round: e.curRound,
+				Node: int(phys), Config: after.String(),
+			})
+		}
+	}
+	return left, right, nil
 }
 
 // sideSwapper applies connections with the left and right sides exchanged —
@@ -1142,10 +1141,7 @@ func swapLR(s xbar.Side) xbar.Side {
 // communication passing above u strictly contains every communication
 // matched at u, so its source lies further left. Destinations mirror this
 // with right-to-left ordering: indices 0..DR-1 live in the right subtree.
-func Step(stp *ctrl.Stored, sw xbar.Connector, in ctrl.Down, sel Selection) (left, right ctrl.Down, err error) {
-	st := *stp
-	defer func() { *stp = st }()
-	connect := func(in, out xbar.Side) error { return sw.Connect(in, out) }
+func Step(st *ctrl.Stored, sw xbar.Connector, in ctrl.Down, sel Selection) (left, right ctrl.Down, err error) {
 	// startMatched reports whether this switch may begin one of its own
 	// matched pairs now. A matched pair occupies l_i and r_o; under the
 	// Conservative rule the switch first drains the outer communications
@@ -1171,7 +1167,7 @@ func Step(stp *ctrl.Stored, sw xbar.Connector, in ctrl.Down, sel Selection) (lef
 		// communications that pass above u, all of which contain it;
 		// mirrored for the destination.
 		if startMatched() {
-			if err = connect(xbar.L, xbar.R); err != nil {
+			if err = sw.Connect(xbar.L, xbar.R); err != nil {
 				return
 			}
 			st.M--
@@ -1191,7 +1187,7 @@ func Step(stp *ctrl.Stored, sw xbar.Connector, in ctrl.Down, sel Selection) (lef
 			// Source in the left subtree: l_i→p_o. The right link is idle,
 			// but r_o is not available for a matched pair (it would need
 			// l_i, which is busy).
-			if err = connect(xbar.L, xbar.P); err != nil {
+			if err = sw.Connect(xbar.L, xbar.P); err != nil {
 				return
 			}
 			st.SL--
@@ -1201,14 +1197,14 @@ func Step(stp *ctrl.Stored, sw xbar.Connector, in ctrl.Down, sel Selection) (lef
 		// Source in the right subtree: r_i→p_o; l_i and r_o are free, so u
 		// can simultaneously start its own outermost matched pair (the
 		// pseudocode's upgrade of C_{D-R} to [s,d]).
-		if err = connect(xbar.R, xbar.P); err != nil {
+		if err = sw.Connect(xbar.R, xbar.P); err != nil {
 			return
 		}
 		xsr := xs - st.SL
 		st.SR--
 		right = ctrl.Down{Use: ctrl.UseS, Xs: xsr}
 		if startMatched() {
-			if err = connect(xbar.L, xbar.R); err != nil {
+			if err = sw.Connect(xbar.L, xbar.R); err != nil {
 				return
 			}
 			st.M--
@@ -1226,21 +1222,21 @@ func Step(stp *ctrl.Stored, sw xbar.Connector, in ctrl.Down, sel Selection) (lef
 			return
 		}
 		if st.DR > xd {
-			if err = connect(xbar.P, xbar.R); err != nil {
+			if err = sw.Connect(xbar.P, xbar.R); err != nil {
 				return
 			}
 			st.DR--
 			right = ctrl.Down{Use: ctrl.UseD, Xd: xd}
 			return
 		}
-		if err = connect(xbar.P, xbar.L); err != nil {
+		if err = sw.Connect(xbar.P, xbar.L); err != nil {
 			return
 		}
 		xdl := xd - st.DR
 		st.DL--
 		left = ctrl.Down{Use: ctrl.UseD, Xd: xdl}
 		if startMatched() {
-			if err = connect(xbar.L, xbar.R); err != nil {
+			if err = sw.Connect(xbar.L, xbar.R); err != nil {
 				return
 			}
 			st.M--
@@ -1265,10 +1261,10 @@ func Step(stp *ctrl.Stored, sw xbar.Connector, in ctrl.Down, sel Selection) (lef
 		dstRight := st.DR > xd
 		switch {
 		case srcLeft && dstRight:
-			if err = connect(xbar.L, xbar.P); err != nil {
+			if err = sw.Connect(xbar.L, xbar.P); err != nil {
 				return
 			}
-			if err = connect(xbar.P, xbar.R); err != nil {
+			if err = sw.Connect(xbar.P, xbar.R); err != nil {
 				return
 			}
 			st.SL--
@@ -1276,10 +1272,10 @@ func Step(stp *ctrl.Stored, sw xbar.Connector, in ctrl.Down, sel Selection) (lef
 			left = ctrl.Down{Use: ctrl.UseS, Xs: xs}
 			right = ctrl.Down{Use: ctrl.UseD, Xd: xd}
 		case srcLeft && !dstRight:
-			if err = connect(xbar.L, xbar.P); err != nil {
+			if err = sw.Connect(xbar.L, xbar.P); err != nil {
 				return
 			}
-			if err = connect(xbar.P, xbar.L); err != nil {
+			if err = sw.Connect(xbar.P, xbar.L); err != nil {
 				return
 			}
 			xdl := xd - st.DR
@@ -1287,10 +1283,10 @@ func Step(stp *ctrl.Stored, sw xbar.Connector, in ctrl.Down, sel Selection) (lef
 			st.DL--
 			left = ctrl.Down{Use: ctrl.UseSD, Xs: xs, Xd: xdl}
 		case !srcLeft && dstRight:
-			if err = connect(xbar.R, xbar.P); err != nil {
+			if err = sw.Connect(xbar.R, xbar.P); err != nil {
 				return
 			}
-			if err = connect(xbar.P, xbar.R); err != nil {
+			if err = sw.Connect(xbar.P, xbar.R); err != nil {
 				return
 			}
 			xsr := xs - st.SL
@@ -1298,10 +1294,10 @@ func Step(stp *ctrl.Stored, sw xbar.Connector, in ctrl.Down, sel Selection) (lef
 			st.DR--
 			right = ctrl.Down{Use: ctrl.UseSD, Xs: xsr, Xd: xd}
 		default: // source from the right, destination to the left
-			if err = connect(xbar.R, xbar.P); err != nil {
+			if err = sw.Connect(xbar.R, xbar.P); err != nil {
 				return
 			}
-			if err = connect(xbar.P, xbar.L); err != nil {
+			if err = sw.Connect(xbar.P, xbar.L); err != nil {
 				return
 			}
 			xsr := xs - st.SL
@@ -1311,7 +1307,7 @@ func Step(stp *ctrl.Stored, sw xbar.Connector, in ctrl.Down, sel Selection) (lef
 			// l_i and r_o are both free: start the outermost matched pair
 			// too, if permitted.
 			if startMatched() {
-				if err = connect(xbar.L, xbar.R); err != nil {
+				if err = sw.Connect(xbar.L, xbar.R); err != nil {
 					return
 				}
 				st.M--

@@ -53,12 +53,11 @@ type serveDelta struct {
 // ScheduleDelta admits one delta against session and blocks until its
 // terminal DeltaResult. Safe for arbitrary concurrent callers.
 func (p *Pool) ScheduleDelta(session uint64, remove, add []comm.Comm, deadline time.Duration) DeltaResult {
-	return p.ScheduleDeltaTraced(session, remove, add, deadline, obs.SpanContext{})
+	return p.scheduleDelta(session, remove, add, deadline, obs.SpanContext{})
 }
 
-// ScheduleDeltaTraced is ScheduleDelta carrying a span context, like
-// ScheduleTraced.
-func (p *Pool) ScheduleDeltaTraced(session uint64, remove, add []comm.Comm,
+// scheduleDelta is ScheduleDelta carrying a span context, like schedule.
+func (p *Pool) scheduleDelta(session uint64, remove, add []comm.Comm,
 	deadline time.Duration, sctx obs.SpanContext) DeltaResult {
 	sd := &serveDelta{session: session, remove: remove, add: add,
 		resp: make(chan DeltaResult, 1)}

@@ -74,7 +74,7 @@ func Handler(p *Pool, pl *Planner, reg *obs.Registry, tr *obs.Tracer) http.Handl
 				http.StatusBadRequest, "bad JSON: "+err.Error())
 			return
 		}
-		res := p.ScheduleTraced(req.Src, req.Dst, time.Duration(req.DeadlineMS)*time.Millisecond, sp.Context())
+		res := p.schedule(req.Src, req.Dst, time.Duration(req.DeadlineMS)*time.Millisecond, sp.Context())
 		sctx := sp.Context()
 		if !sp.Sampled() && (res.Status >= 400 || res.Err != "") {
 			sctx = tr.EmitErrorRoot("http.schedule", "serve", start, res.Status, res.Err)
@@ -106,7 +106,7 @@ func Handler(p *Pool, pl *Planner, reg *obs.Registry, tr *obs.Tracer) http.Handl
 		for i, c := range req.Comms {
 			s.Comms[i] = comm.Comm{Src: c.Src, Dst: c.Dst}
 		}
-		res := pl.PlanTraced(s, protoHTTP, true, sp.Context())
+		res := pl.plan(s, protoHTTP, true, sp.Context())
 		sctx := sp.Context()
 		if !sp.Sampled() && (res.Status >= 400 || res.Err != "") {
 			sctx = tr.EmitErrorRoot("http.plan", "serve", start, res.Status, res.Err)
@@ -139,7 +139,7 @@ func Handler(p *Pool, pl *Planner, reg *obs.Registry, tr *obs.Tracer) http.Handl
 		for i, c := range req.Add {
 			add[i] = comm.Comm{Src: c.Src, Dst: c.Dst}
 		}
-		res := p.ScheduleDeltaTraced(req.Session, remove, add,
+		res := p.scheduleDelta(req.Session, remove, add,
 			time.Duration(req.DeadlineMS)*time.Millisecond, sp.Context())
 		sctx := sp.Context()
 		if !sp.Sampled() && (res.Status >= 400 || res.Err != "") {

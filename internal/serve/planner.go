@@ -147,35 +147,28 @@ func NewPlanner(cfg PlannerConfig) *Planner {
 // asks for the full round-by-round schedule in the result (the wire path
 // declines, so pooled connection slots never retain schedules).
 func (p *Planner) Plan(s *comm.Set, proto uint8, includeRounds bool) SetResult {
-	return p.PlanTraced(s, proto, includeRounds, obs.SpanContext{})
+	return p.plan(s, proto, includeRounds, obs.SpanContext{})
 }
 
-// PlanTraced is Plan attributed to a request trace: when sctx is sampled, a
-// "serve.plan" span covering the whole call is emitted, and the hybrid
-// pipeline stages become its children. A zero sctx behaves exactly like
-// Plan.
-func (p *Planner) PlanTraced(s *comm.Set, proto uint8, includeRounds bool, sctx obs.SpanContext) SetResult {
+// plan is Plan attributed to a request trace, the path both transports
+// share: when sctx is sampled, a "serve.plan" span covering the whole call
+// is emitted, and the hybrid pipeline stages become its children.
+func (p *Planner) plan(s *comm.Set, proto uint8, includeRounds bool, sctx obs.SpanContext) (res SetResult) {
 	start := time.Now()
 	var planCtx obs.SpanContext
 	if p.cfg.Tracer != nil && sctx.Valid() {
 		// Pre-allocate the serve.plan span id so the hybrid stage spans can
 		// parent under it even though spans are emitted at end time.
 		planCtx = obs.SpanContext{Trace: sctx.Trace, Span: p.cfg.Tracer.NewSpanID(), Sampled: true}
+		defer func() {
+			p.cfg.Tracer.EmitSpan(obs.SpanRecord{
+				Trace: planCtx.Trace, Span: planCtx.Span, Parent: sctx.Span,
+				Name: "serve.plan", Engine: "hybrid",
+				Start: start, End: time.Now(),
+				Status: res.Status, N: s.Len(), Err: res.Err,
+			})
+		}()
 	}
-	res := p.plan(s, proto, includeRounds, planCtx)
-	if planCtx.Valid() {
-		p.cfg.Tracer.EmitSpan(obs.SpanRecord{
-			Trace: planCtx.Trace, Span: planCtx.Span, Parent: sctx.Span,
-			Name: "serve.plan", Engine: "hybrid",
-			Start: start, End: time.Now(),
-			Status: res.Status, N: s.Len(), Err: res.Err,
-		})
-	}
-	return res
-}
-
-func (p *Planner) plan(s *comm.Set, proto uint8, includeRounds bool, planCtx obs.SpanContext) SetResult {
-	start := time.Now()
 	p.met.requests.Inc()
 	if int(proto) < protoCount {
 		p.met.proto[proto].requests.Inc()
@@ -212,7 +205,7 @@ func (p *Planner) plan(s *comm.Set, proto uint8, includeRounds bool, planCtx obs
 		return SetResult{Status: 500, Err: err.Error()}
 	}
 
-	res := SetResult{
+	res = SetResult{
 		Status:        200,
 		Rounds:        plan.Rounds,
 		Bound:         plan.Bound,

@@ -79,13 +79,8 @@ type Config struct {
 	Faults []fault.Fault
 	// EngineMetrics threads Registry/Tracer into the shard simulators so
 	// the inner cst_online_*/cst_padr_* series and per-round trace events
-	// accumulate too. It disables subtree sharding inside each simulator
-	// (the inner engines' shared metric attribution is only well-defined
-	// one engine at a time).
+	// accumulate too.
 	EngineMetrics bool
-	// Sharding enables subtree sharding inside each shard's simulator
-	// (ignored when EngineMetrics or Faults are set; see online.WithSharding).
-	Sharding bool
 }
 
 func (c *Config) withDefaults() Config {
@@ -303,9 +298,6 @@ func New(cfg Config) (*Pool, error) {
 		if cfg.EngineMetrics {
 			opts = append(opts, online.WithRegistry(cfg.Registry), online.WithTracer(cfg.Tracer))
 		}
-		if cfg.Sharding {
-			opts = append(opts, online.WithSharding())
-		}
 		sim, err := online.New(cfg.PEs, opts...)
 		if err != nil {
 			return nil, fmt.Errorf("serve: shard %d: %w", i, err)
@@ -342,14 +334,14 @@ func (p *Pool) Start() {
 // admission (queue full, draining, bad endpoints — these return without
 // blocking). Safe for arbitrary concurrent callers.
 func (p *Pool) Schedule(src, dst int, deadline time.Duration) Result {
-	return p.ScheduleTraced(src, dst, deadline, obs.SpanContext{})
+	return p.schedule(src, dst, deadline, obs.SpanContext{})
 }
 
-// ScheduleTraced is Schedule carrying a span context: when sctx is sampled
-// the pool emits serve.queue and serve.dispatch child spans for the
-// request's path through the admission queue and its shard's dispatch
-// wave. A zero sctx behaves exactly like Schedule.
-func (p *Pool) ScheduleTraced(src, dst int, deadline time.Duration, sctx obs.SpanContext) Result {
+// schedule is Schedule carrying a span context, the blocking path the
+// HTTP transport shares: when sctx is sampled the pool emits serve.queue
+// and serve.dispatch child spans for the request's path through the
+// admission queue and its shard's dispatch wave.
+func (p *Pool) schedule(src, dst int, deadline time.Duration, sctx obs.SpanContext) Result {
 	c := &call{proto: protoHTTP, resp: make(chan Result, 1)}
 	c.arm(src, dst, deadline)
 	c.sctx = sctx

@@ -58,8 +58,8 @@ type WireConfig struct {
 	// drain. It is also the slot count, so memory per connection is
 	// proportional. Zero means DefaultMaxPipeline.
 	MaxPipeline int
-	// Planner answers set requests (TypeSetRequest frames, v2+). Nil
-	// makes the server answer them with status 501.
+	// Planner answers set requests (TypeSetRequest frames). Nil makes the
+	// server answer them with status 501.
 	Planner *Planner
 	// Registry receives the cst_serve_wire_* series; nil leaves the
 	// server uninstrumented.
@@ -127,7 +127,7 @@ type wireCall struct {
 	res    Result
 	isSet  bool
 	setRes SetResult
-	// Delta requests (v4) also ride the slots. Unlike pair requests, the
+	// Delta requests also ride the slots. Unlike pair requests, the
 	// decode scratch is slot-owned, not connection-owned: the mutation
 	// pair slices stay live until the shard worker applies them, which
 	// may be after the reader has moved on to the next frame.
@@ -149,15 +149,14 @@ type wireCall struct {
 // sentinel the reader uses to stop the writer, which keeps the channels
 // reusable (a closed channel could not go back in the pool).
 type connBundle struct {
-	version byte // negotiated session version, set per connection
-	slots   []*wireCall
-	free    chan *wireCall
-	out     chan *wireCall
-	rd      *wire.Reader
-	bw      *bufio.Writer
-	req     wire.Request     // reader-owned decode scratch
-	setReq  wire.SetRequest  // reader-owned set decode scratch
-	set     comm.Set         // reader-owned set build scratch
+	slots     []*wireCall
+	free      chan *wireCall
+	out       chan *wireCall
+	rd        *wire.Reader
+	bw        *bufio.Writer
+	req       wire.Request       // reader-owned decode scratch
+	setReq    wire.SetRequest    // reader-owned set decode scratch
+	set       comm.Set           // reader-owned set build scratch
 	resp      wire.Response      // writer-owned encode scratch
 	setResp   wire.SetResponse   // writer-owned set encode scratch
 	deltaResp wire.DeltaResponse // writer-owned delta encode scratch
@@ -272,25 +271,30 @@ func (s *WireServer) untrack(conn net.Conn) {
 }
 
 // handshake reads the client hello straight off the raw connection (the
-// framed reader attaches after, so nothing is over-read), answers with the
-// negotiated version and returns it — the session's frame allow-list
-// depends on it.
-func (s *WireServer) handshake(conn net.Conn) (byte, error) {
+// framed reader attaches after, so nothing is over-read) and answers it
+// with wire.Version. A hello offering any other version still gets that
+// answer, so the client can name the mismatch, and then an error that
+// closes the connection.
+func (s *WireServer) handshake(conn net.Conn) error {
 	_ = conn.SetReadDeadline(time.Now().Add(wireHandshakeTimeout))
 	var hello [wire.HandshakeBytes]byte
 	if _, err := io.ReadFull(conn, hello[:]); err != nil {
-		return 0, fmt.Errorf("handshake read: %w", err)
+		return fmt.Errorf("handshake read: %w", err)
 	}
+	// Only a bad magic goes unanswered: a hello carrying version 0
+	// (ErrVersion) is answered like any other mismatch below.
 	offered, err := wire.ParseHello(hello[:])
-	if err != nil {
-		return 0, err
+	if errors.Is(err, wire.ErrBadMagic) {
+		return err
 	}
-	version := wire.Negotiate(offered, wire.Version)
 	var accept [wire.HandshakeBytes]byte
-	if _, err := conn.Write(wire.AppendHello(accept[:0], version)); err != nil {
-		return 0, fmt.Errorf("handshake write: %w", err)
+	if _, err := conn.Write(wire.AppendHello(accept[:0], wire.Version)); err != nil {
+		return fmt.Errorf("handshake write: %w", err)
 	}
-	return version, nil
+	if offered != wire.Version {
+		return fmt.Errorf("%w: client offered v%d, server speaks v%d", wire.ErrVersion, offered, wire.Version)
+	}
+	return nil
 }
 
 // handle runs one connection: handshake, then the reader loop described
@@ -301,8 +305,7 @@ func (s *WireServer) handle(conn net.Conn) {
 	defer s.untrack(conn)
 	defer conn.Close()
 
-	version, err := s.handshake(conn)
-	if err != nil {
+	if err := s.handshake(conn); err != nil {
 		s.met.protoErrs.Inc()
 		return
 	}
@@ -326,7 +329,6 @@ func (s *WireServer) handle(conn net.Conn) {
 
 	b := s.bundles.Get().(*connBundle)
 	defer s.bundles.Put(b)
-	b.version = version
 	b.rd.Reset(conn)
 	b.bw.Reset(conn)
 
@@ -341,9 +343,9 @@ func (s *WireServer) handle(conn net.Conn) {
 			}
 			break
 		}
-		switch {
-		case typ == wire.TypeRequest:
-			if err := wire.ParseRequestV(body, &b.req, version); err != nil {
+		switch typ {
+		case wire.TypeRequest:
+			if err := wire.ParseRequestV(body, &b.req, wire.Version); err != nil {
 				s.met.protoErrs.Inc()
 				goto teardown
 			}
@@ -354,7 +356,7 @@ func (s *WireServer) handle(conn net.Conn) {
 			wc.isSet, wc.isDelta = false, false
 			wc.c.arm(b.req.Src, b.req.Dst, b.req.Deadline())
 			wc.c.id = b.req.ID
-			// Open the request's root span: a v3 frame's trace block may
+			// Open the request's root span: the frame's trace block may
 			// continue (and force-sample) the client's trace; otherwise the
 			// head decision applies. Unsampled requests get the zero Span —
 			// no allocation on this path.
@@ -371,8 +373,8 @@ func (s *WireServer) handle(conn net.Conn) {
 				wc.res = res
 				b.out <- wc
 			}
-		case typ == wire.TypeSetRequest && version >= wire.VersionSets:
-			if err := wire.ParseSetRequestV(body, &b.setReq, version); err != nil {
+		case wire.TypeSetRequest:
+			if err := wire.ParseSetRequestV(body, &b.setReq, wire.Version); err != nil {
 				s.met.protoErrs.Inc()
 				goto teardown
 			}
@@ -397,10 +399,10 @@ func (s *WireServer) handle(conn net.Conn) {
 			if s.cfg.Planner == nil {
 				wc.setRes = SetResult{Status: 501, Err: "serve: set planning not enabled"}
 			} else {
-				wc.setRes = s.cfg.Planner.PlanTraced(&b.set, protoWire, false, wc.sp.Context())
+				wc.setRes = s.cfg.Planner.plan(&b.set, protoWire, false, wc.sp.Context())
 			}
 			b.out <- wc
-		case typ == wire.TypeDeltaRequest && version >= wire.VersionDelta:
+		case wire.TypeDeltaRequest:
 			// Lease the slot BEFORE decoding: the delta decode scratch is
 			// slot-owned, because its pair slices must survive until the
 			// pinned shard worker applies the mutation.
@@ -435,8 +437,8 @@ func (s *WireServer) handle(conn net.Conn) {
 				b.out <- wc
 			}
 		default:
-			// Unknown frame for this session's version — 0x03 on a v1
-			// session is as fatal as a type the decoder never heard of.
+			// A response frame from a client is as fatal as a type the
+			// decoder never heard of.
 			s.met.protoErrs.Inc()
 			goto teardown
 		}
@@ -519,7 +521,7 @@ func (s *WireServer) writeLoop(b *connBundle, done chan<- struct{}) {
 				r.Strategy = strategyCode(wc.setRes.Strategy)
 				r.Err = wc.setRes.Err
 				r.Trace = uint64(sctx.Trace)
-				b.enc = wire.AppendSetResponseV(b.enc[:0], r, b.version)
+				b.enc = wire.AppendSetResponseV(b.enc[:0], r, wire.Version)
 				wc.setRes = SetResult{}
 			} else {
 				r := &b.resp
@@ -532,7 +534,7 @@ func (s *WireServer) writeLoop(b *connBundle, done chan<- struct{}) {
 				r.LatencyRounds = wc.res.LatencyRounds
 				r.Err = wc.res.Err
 				r.Trace = uint64(sctx.Trace)
-				b.enc = wire.AppendResponseV(b.enc[:0], r, b.version)
+				b.enc = wire.AppendResponseV(b.enc[:0], r, wire.Version)
 			}
 			if _, err := b.bw.Write(b.enc); err != nil {
 				werr = err

@@ -525,9 +525,9 @@ func (f *Fabric) RunContext(ctx context.Context, s *comm.Set) (*Result, error) {
 		if stalled {
 			return nil, f.abort(runErr.(*fault.Error))
 		}
-		// All n leaf reports are in, so every switch has forwarded both of
-		// this round's words: the wave is complete and the shared counter
-		// is quiescent.
+		// All n leaf reports are in, so every switch has counted and
+		// forwarded both of this round's words: the wave is complete and
+		// the shared counter is quiescent.
 		elapsed := time.Since(roundStart)
 		nowDown := f.downSent.Load()
 		waveMsgs := int(nowDown - prevDown)
@@ -908,22 +908,32 @@ func (f *Fabric) switchLoop(u topology.Node) {
 				tracer.Emit(obs.Event{Type: "word.send", Engine: "sim", Round: round,
 					Node: int(u), Child: int(rc), Word: right.String()})
 			}
+			// Count the round's words before sending them. A leaf reports
+			// only after its word arrives, so once the driver holds all n
+			// reports every switch's count for the round is visible, and
+			// none can spill into the next round's tally.
+			sendL := inj == nil || !inj.WordLost(lc, round)
+			sendR := inj == nil || !inj.WordLost(rc, round)
 			sent := int64(0)
-			if inj == nil || !inj.WordLost(lc, round) {
+			if sendL {
+				sent++
+			}
+			if sendR {
+				sent++
+			}
+			f.downSent.Add(sent)
+			if sendL {
 				if inj != nil {
 					left, _ = inj.CorruptDown(lc, round, left)
 				}
 				leftDown <- downMsg{word: left}
-				sent++
 			}
-			if inj == nil || !inj.WordLost(rc, round) {
+			if sendR {
 				if inj != nil {
 					right, _ = inj.CorruptDown(rc, round, right)
 				}
 				rightDown <- downMsg{word: right}
-				sent++
 			}
-			f.downSent.Add(sent)
 			round++
 		}
 	}
