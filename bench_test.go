@@ -339,7 +339,7 @@ func BenchmarkPerfettoExport(b *testing.B) {
 // round trip. rate0 attaches a tracer with head sampling off — the
 // production default, whose cost must be indistinguishable from no tracer
 // (the unsampled path takes one atomic load and no allocation). rate1pct is
-// the recommended operating point (ledger target: ≤10% over rate0); rate1
+// the recommended operating point (target: ≤10% over rate0); rate1
 // traces every request — root span, queue and dispatch spans,
 // flight-recorder finalization, trace id on the response frame.
 func BenchmarkServeWireSampled(b *testing.B) {

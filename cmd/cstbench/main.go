@@ -23,7 +23,6 @@ import (
 	"strings"
 
 	"cst"
-	"cst/internal/lab"
 )
 
 func main() {
@@ -36,7 +35,6 @@ func main() {
 		summary   = flag.Bool("metrics-summary", true, "print a per-experiment metrics summary table")
 		audit     = flag.Bool("audit", false, "run the power auditor live over the experiments and print its verdict")
 		auditHTML = flag.String("audit-html", "", "write the audit report as HTML to this file (implies -audit)")
-		ledger    = flag.String("ledger", "", "append per-experiment wall-clock entries to this JSONL perf-lab ledger")
 	)
 	flag.Parse()
 
@@ -54,10 +52,6 @@ func main() {
 	reg := cst.NewMetrics()
 	tracer := cst.NewTracer(nil, 0)
 	cfg := cst.ExperimentConfig{Seed: *seed, Quick: *quick, Obs: reg, Trace: tracer}
-	var entries []lab.Entry
-	if *ledger != "" {
-		cfg.Ledger = &entries
-	}
 	var auditor *cst.Auditor
 	if *audit || *auditHTML != "" {
 		auditor = cst.NewAuditor(cst.AuditConfig{Registry: reg})
@@ -98,18 +92,6 @@ func main() {
 		if *summary {
 			fmt.Fprintf(w, "Engine metrics for %s:\n\n%s\n", e.ID, cst.MetricsSummary(reg.Snapshot().Sub(before)))
 		}
-	}
-
-	if *ledger != "" {
-		st := lab.NewStamp("cstbench", "")
-		for i := range entries {
-			entries[i] = st.Apply(entries[i])
-		}
-		if err := lab.Append(*ledger, entries); err != nil {
-			fmt.Fprintln(os.Stderr, "cstbench:", err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "cstbench: appended %d entries to %s\n", len(entries), *ledger)
 	}
 
 	if auditor != nil {

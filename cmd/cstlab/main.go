@@ -1,15 +1,14 @@
 // Command cstlab is the perf lab's front end. It sweeps the scheduling
-// engines over a parameter grid, compares every measurement against the
-// analytical twin (theorem-exact rounds and word counts, power envelopes,
-// fitted latency models with noise bands), appends the results to a
-// schema-versioned JSONL ledger, and replays that ledger as a CI
-// regression gate.
+// engines over a parameter grid and compares every count against the
+// analytical twin (theorem-exact rounds and word counts, power
+// envelopes), sweeps the incremental scheduler against from-scratch runs,
+// and prints the twin's closed forms. Latency is measured and printed,
+// never judged.
 //
 // Subcommands:
 //
-//	cstlab sweep   -n 32,64,128 -w 2,8 -engines padr,sim,online -ledger BENCH_ledger.jsonl
-//	cstlab delta   -n 1024 -active 64 -overlaps 0.5,0.75,0.9 -ledger BENCH_ledger.jsonl
-//	cstlab check   -ledger BENCH_ledger.jsonl
+//	cstlab sweep   -n 32,64,128 -w 2,8 -engines padr,sim,online
+//	cstlab delta   -n 1024 -active 64 -overlaps 0.5,0.75,0.9
 //	cstlab predict -engine padr -workload chain -n 256 -w 16
 //
 // Exit codes: 0 pass, 1 measured-vs-predicted mismatch or gate failure,
@@ -38,8 +37,6 @@ func main() {
 		code = runSweep(os.Args[2:], os.Stdout, os.Stderr)
 	case "delta":
 		code = runDelta(os.Args[2:], os.Stdout, os.Stderr)
-	case "check":
-		code = runCheck(os.Args[2:], os.Stdout, os.Stderr)
 	case "predict":
 		code = runPredict(os.Args[2:], os.Stdout, os.Stderr)
 	case "-h", "-help", "--help", "help":
@@ -55,9 +52,8 @@ func main() {
 func usage(w io.Writer) {
 	fmt.Fprint(w, `usage: cstlab <subcommand> [flags]
 
-  sweep    run a parameter sweep, compare measured vs predicted, append to the ledger
+  sweep    run a parameter sweep and compare measured vs predicted counts
   delta    sweep the incremental scheduler over set-overlap ratios, gate the 2x speedup
-  check    replay the ledger and gate on regressions, exact mismatches and bound excesses
   predict  print the analytical twin's closed forms for one grid point
 `)
 }
@@ -98,8 +94,6 @@ func runSweep(args []string, stdout, stderr io.Writer) int {
 		workload = fs.String("workload", lab.WorkloadChain, "set family: chain, split, random, bitrev or crossing")
 		reps     = fs.Int("reps", 5, "timed runs per grid point (median is reported)")
 		seed     = fs.Int64("seed", 1, "random-workload seed")
-		ledger   = fs.String("ledger", "", "append results to this JSONL ledger")
-		label    = fs.String("label", "", "free-form label stamped onto ledger entries")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -125,24 +119,11 @@ func runSweep(args []string, stdout, stderr io.Writer) int {
 	}
 	fmt.Fprintln(stdout, res.Table())
 
-	if *ledger != "" {
-		stamp := lab.NewStamp("cstlab", *label)
-		entries := make([]lab.Entry, 0)
-		for _, e := range res.Entries() {
-			entries = append(entries, stamp.Apply(e))
-		}
-		if err := lab.Append(*ledger, entries); err != nil {
-			fmt.Fprintln(stderr, "cstlab:", err)
-			return 2
-		}
-		fmt.Fprintf(stderr, "cstlab: appended %d entries to %s\n", len(entries), *ledger)
-	}
-
 	if !res.Ok() {
-		fmt.Fprintln(stderr, "cstlab: sweep FAILED — measured values deviate from the analytical twin")
+		fmt.Fprintln(stderr, "cstlab: sweep FAILED — measured counts deviate from the analytical twin")
 		return 1
 	}
-	fmt.Fprintln(stderr, "cstlab: sweep ok — all measurements match the analytical twin")
+	fmt.Fprintln(stderr, "cstlab: sweep ok — all measured counts match the analytical twin")
 	return 0
 }
 
@@ -156,8 +137,6 @@ func runDelta(args []string, stdout, stderr io.Writer) int {
 		phases   = fs.Int("phases", 8, "deltas chained per overlap point")
 		reps     = fs.Int("reps", 5, "timed laps per overlap point (median is reported)")
 		seed     = fs.Int64("seed", 42, "mutation-stream seed")
-		ledger   = fs.String("ledger", "", "append results to this JSONL ledger")
-		label    = fs.String("label", "", "free-form label stamped onto ledger entries")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -178,21 +157,8 @@ func runDelta(args []string, stdout, stderr io.Writer) int {
 	}
 	fmt.Fprintln(stdout, res.Table())
 
-	if *ledger != "" {
-		stamp := lab.NewStamp("cstlab", *label)
-		entries := make([]lab.Entry, 0)
-		for _, e := range res.Entries() {
-			entries = append(entries, stamp.Apply(e))
-		}
-		if err := lab.Append(*ledger, entries); err != nil {
-			fmt.Fprintln(stderr, "cstlab:", err)
-			return 2
-		}
-		fmt.Fprintf(stderr, "cstlab: appended %d entries to %s\n", len(entries), *ledger)
-	}
-
 	if !res.Ok() {
-		fmt.Fprintln(stderr, "cstlab: delta sweep FAILED — rounds mismatch, speedup gate missed, or latency out of band")
+		fmt.Fprintln(stderr, "cstlab: delta sweep FAILED — rounds mismatch or speedup gate missed")
 		return 1
 	}
 	fmt.Fprintln(stderr, "cstlab: delta sweep ok — incremental schedules match from-scratch and meet the speedup gate")
@@ -215,38 +181,6 @@ func parseFloats(s string) ([]float64, error) {
 	return out, nil
 }
 
-func runCheck(args []string, stdout, stderr io.Writer) int {
-	fs := flag.NewFlagSet("cstlab check", flag.ContinueOnError)
-	fs.SetOutput(stderr)
-	var (
-		ledger     = fs.String("ledger", "BENCH_ledger.jsonl", "JSONL ledger to replay")
-		k          = fs.Float64("k", 0, "MAD multiplier for the noise band (0 = default)")
-		slack      = fs.Float64("slack", 0, "minimum relative band half-width (0 = default)")
-		minHistory = fs.Int("min-history", 0, "runs required before the band is trusted (0 = default)")
-	)
-	if err := fs.Parse(args); err != nil {
-		return 2
-	}
-	entries, err := lab.ReadLedger(*ledger)
-	if err != nil {
-		fmt.Fprintln(stderr, "cstlab:", err)
-		return 2
-	}
-	if len(entries) == 0 {
-		fmt.Fprintf(stderr, "cstlab: ledger %s is empty — nothing to gate\n", *ledger)
-		return 0
-	}
-	vs, ok := lab.Check(entries, lab.CheckOptions{K: *k, SlackRel: *slack, MinHistory: *minHistory})
-	if err := lab.WriteVerdicts(stdout, vs, ok); err != nil {
-		fmt.Fprintln(stderr, "cstlab:", err)
-		return 2
-	}
-	if !ok {
-		return 1
-	}
-	return 0
-}
-
 func runPredict(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("cstlab predict", flag.ContinueOnError)
 	fs.SetOutput(stderr)
@@ -259,11 +193,11 @@ func runPredict(args []string, stdout, stderr io.Writer) int {
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	if *n < 2 || *w < 1 {
-		fmt.Fprintln(stderr, "cstlab: -n must be >= 2 and -w >= 1")
+	p, err := lab.Predict(*engine, *workload, *n, *w)
+	if err != nil {
+		fmt.Fprintln(stderr, "cstlab:", err)
 		return 2
 	}
-	p := lab.Predict(*engine, *workload, *n, *w)
 	fmt.Fprintf(stdout, "engine=%s workload=%s N=%d w=%d\n", *engine, *workload, *n, *w)
 	fmt.Fprintf(stdout, "rounds        %d   (Theorems 4/5: width-w sets schedule in exactly w rounds)\n", p.Rounds)
 	if p.Phase1Words > 0 {

@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
-	"time"
 
 	"cst/internal/adversary"
 	"cst/internal/audit"
@@ -20,7 +19,6 @@ import (
 	"cst/internal/deliver"
 	"cst/internal/energy"
 	"cst/internal/general"
-	"cst/internal/lab"
 	"cst/internal/lemma"
 	"cst/internal/obs"
 	"cst/internal/online"
@@ -52,10 +50,6 @@ type Config struct {
 	// experiment's event stream as it happens. Requires Trace to be set —
 	// the auditor taps the same stream the tracer records.
 	Audit *audit.Auditor
-	// Ledger, when non-nil, collects one wall-clock entry per experiment
-	// ("harness/E1" in ns). The caller stamps provenance (machine, git SHA,
-	// timestamp) via lab.Stamp and appends the batch to the perf-lab ledger.
-	Ledger *[]lab.Entry
 }
 
 // padrOpts appends the config's observability options to extra.
@@ -167,15 +161,8 @@ func RunOne(w io.Writer, e Experiment, cfg Config) error {
 		cfg.Trace.SetSink(cfg.Audit.Observe)
 	}
 	fmt.Fprintf(w, "## %s — %s\n\nClaim: %s.\n\n", e.ID, e.Title, e.Claim)
-	start := time.Now()
 	if err := e.Run(w, cfg); err != nil {
 		return fmt.Errorf("%s: %v", e.ID, err)
-	}
-	if cfg.Ledger != nil {
-		*cfg.Ledger = append(*cfg.Ledger, lab.Entry{
-			Bench: "harness/" + e.ID, Unit: "ns",
-			Value: float64(time.Since(start).Nanoseconds()),
-		})
 	}
 	fmt.Fprintln(w)
 	return nil

@@ -4,8 +4,6 @@ import (
 	"bytes"
 	"strings"
 	"testing"
-
-	"cst/internal/lab"
 )
 
 func TestRegistry(t *testing.T) {
@@ -52,24 +50,6 @@ func TestAllExperimentsQuick(t *testing.T) {
 				t.Errorf("%s: missing table:\n%s", e.ID, out)
 			}
 		})
-	}
-}
-
-// TestLedgerSink: RunOne appends one wall-clock entry per experiment to
-// the configured perf-lab ledger collector.
-func TestLedgerSink(t *testing.T) {
-	var entries []lab.Entry
-	var buf bytes.Buffer
-	e, _ := ByID("E1")
-	if err := RunOne(&buf, e, Config{Seed: 1, Quick: true, Ledger: &entries}); err != nil {
-		t.Fatal(err)
-	}
-	if len(entries) != 1 {
-		t.Fatalf("ledger entries = %d, want 1", len(entries))
-	}
-	got := entries[0]
-	if got.Bench != "harness/E1" || got.Unit != "ns" || got.Value <= 0 {
-		t.Errorf("ledger entry: %+v", got)
 	}
 }
 

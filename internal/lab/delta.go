@@ -3,7 +3,6 @@ package lab
 import (
 	"fmt"
 	"math/rand"
-	"strings"
 	"time"
 
 	"cst/internal/comm"
@@ -12,13 +11,14 @@ import (
 	"cst/internal/topology"
 )
 
-// The delta twin measures the incremental scheduler against its own cost
-// model: at overlap ratio r, each delta mutates k = (1−r)·active slots of
-// a sparse session set, and the incremental apply should cost O(k·log₂N)
-// — versus the O(N) a from-scratch Reset+RunRounds pays regardless of k.
-// The sweep drives both paths over the same seeded mutation stream, so
-// besides latency it also pins correctness: the post-delta round count
-// must equal the from-scratch reference bit for bit.
+// The delta sweep measures the incremental scheduler against a
+// from-scratch run: at overlap ratio r, each delta mutates k = (1−r)·active
+// slots of a sparse session set, and the incremental apply should cost
+// O(k·log₂N) — versus the O(N) a from-scratch Reset+RunRounds pays
+// regardless of k. Both paths run over the same seeded mutation stream, so
+// besides the speedup gate the sweep also pins correctness: the
+// post-delta round count must equal the from-scratch reference bit for
+// bit.
 
 // DeltaSweepConfig describes an overlap-ratio sweep of the incremental
 // scheduler.
@@ -28,8 +28,9 @@ type DeltaSweepConfig struct {
 	// deliberate: it is the regime where dirty root paths are disjoint and
 	// the O(|delta|·log N) claim is cleanly testable.
 	N, Active int
-	// Overlaps are the set-overlap ratios to sweep (e.g. 0.5, 0.75, 0.9);
-	// ratio r mutates k = round((1−r)·Active) slots per delta, at least 1.
+	// Overlaps are the set-overlap ratios to sweep (e.g. 0.5, 0.75, 0.9),
+	// each in [0, 1]; ratio r mutates k = round((1−r)·Active) slots per
+	// delta, at least 1.
 	Overlaps []float64
 	// Phases is how many deltas chain per overlap point; Reps how many
 	// timed laps over that chain aggregate into one measurement (median).
@@ -76,29 +77,21 @@ type DeltaRow struct {
 	K int
 	// Rounds is the schedule length after the final delta of the chain;
 	// ScratchRounds the from-scratch reference on the same set. They must
-	// be equal — the differential invariant, theorem-exact in the ledger.
+	// be equal — the differential invariant.
 	Rounds, ScratchRounds int
 	// ApplyNS and ScratchNS are median per-delta wall-clock costs of the
 	// incremental and from-scratch paths over the same mutation stream;
-	// Ratio is ApplyNS/ScratchNS. Samples hold every rep.
+	// Ratio is ApplyNS/ScratchNS.
 	ApplyNS, ScratchNS float64
 	Ratio              float64
-	ApplySamples       []float64
-	ScratchSamples     []float64
 	// Gated marks the row as subject to the GateRatio speedup bound.
 	Gated bool
-	// LatPredictedNS and LatBandNS come from the fitted |delta|·log₂N
-	// model; WithinBand reports |ApplyNS − predicted| <= band.
-	LatPredictedNS, LatBandNS float64
-	WithinBand                bool
 }
 
-// DeltaSweepResult is a completed overlap sweep plus the fitted apply-cost
-// model.
+// DeltaSweepResult is a completed overlap sweep.
 type DeltaSweepResult struct {
 	Config DeltaSweepConfig
 	Rows   []DeltaRow
-	Model  *LatencyModel
 }
 
 // deltaStream is a seeded chain of slot mutations over a sparse set.
@@ -115,6 +108,9 @@ func buildDeltaStream(n, active, k, phases int, seed int64) (*deltaStream, error
 	slots := n / 4
 	if active > slots {
 		return nil, fmt.Errorf("lab: %d active slots with only %d available at N=%d", active, slots, n)
+	}
+	if k < 1 || k > active {
+		return nil, fmt.Errorf("lab: %d mutated slots per delta, want 1..%d", k, active)
 	}
 	step := slots / active
 	variants := [][2]int{{0, 1}, {1, 2}, {2, 3}, {0, 3}, {0, 2}, {1, 3}}
@@ -147,16 +143,21 @@ func buildDeltaStream(n, active, k, phases int, seed int64) (*deltaStream, error
 	return st, nil
 }
 
-// RunDeltaSweep measures every overlap point, fits the apply-cost model
-// over the sweep, and scores measured vs predicted.
+// RunDeltaSweep measures every overlap point and scores it: rounds
+// against the from-scratch reference, and the gated points against the
+// speedup bound. An overlap outside [0, 1] is an error.
 func RunDeltaSweep(cfg DeltaSweepConfig) (*DeltaSweepResult, error) {
 	cfg = cfg.withDefaults()
+	for _, ov := range cfg.Overlaps {
+		if !(ov >= 0 && ov <= 1) {
+			return nil, fmt.Errorf("lab: delta overlap %v outside [0, 1]", ov)
+		}
+	}
 	tree, err := topology.New(cfg.N)
 	if err != nil {
 		return nil, err
 	}
 	res := &DeltaSweepResult{Config: cfg}
-	var ms []Measurement
 	for _, ov := range cfg.Overlaps {
 		k := int(float64(cfg.Active)*(1-ov) + 0.5)
 		if k < 1 {
@@ -167,27 +168,6 @@ func RunDeltaSweep(cfg DeltaSweepConfig) (*DeltaSweepResult, error) {
 			return nil, fmt.Errorf("lab: delta overlap=%.2f: %w", ov, err)
 		}
 		res.Rows = append(res.Rows, *row)
-		ms = append(ms, Measurement{Engine: EngineDelta, Workload: "sparse",
-			N: cfg.N, W: row.Rounds, M: k, LatencyNS: row.ApplyNS})
-	}
-	// The model needs at least as many points as coefficients (2); a
-	// single-point sweep still measures, it just cannot band latency.
-	if len(ms) >= 2 {
-		model, err := FitLatency(EngineDelta, ms)
-		if err != nil {
-			return nil, err
-		}
-		res.Model = model
-		for i := range res.Rows {
-			row := &res.Rows[i]
-			row.LatPredictedNS = model.PredictNS(row.N, row.Rounds, row.K)
-			row.LatBandNS = model.BandNS(row.LatPredictedNS)
-			row.WithinBand = abs(row.ApplyNS-row.LatPredictedNS) <= row.LatBandNS
-		}
-	} else {
-		for i := range res.Rows {
-			res.Rows[i].WithinBand = true
-		}
 	}
 	return res, nil
 }
@@ -223,6 +203,7 @@ func measureDelta(tree *topology.Tree, cfg DeltaSweepConfig, ov float64, k int) 
 			return nil, err
 		}
 	}
+	var applySamples, scratchSamples []float64
 	for rep := 0; rep < cfg.Reps; rep++ {
 		if err := reanchor(); err != nil {
 			return nil, err
@@ -236,7 +217,7 @@ func measureDelta(tree *topology.Tree, cfg DeltaSweepConfig, ov float64, k int) 
 			row.Rounds = rounds
 		}
 		lap := float64(time.Since(t0).Nanoseconds()) / float64(len(st.dels))
-		row.ApplySamples = append(row.ApplySamples, lap)
+		applySamples = append(applySamples, lap)
 	}
 
 	// From-scratch baseline: Reset+RunRounds on each post-delta set, on
@@ -258,57 +239,21 @@ func measureDelta(tree *topology.Tree, cfg DeltaSweepConfig, ov float64, k int) 
 			row.ScratchRounds = rounds
 		}
 		lap := float64(time.Since(t0).Nanoseconds()) / float64(len(st.sets))
-		row.ScratchSamples = append(row.ScratchSamples, lap)
+		scratchSamples = append(scratchSamples, lap)
 	}
 
-	row.ApplyNS = stats.Median(row.ApplySamples)
-	row.ScratchNS = stats.Median(row.ScratchSamples)
+	row.ApplyNS = stats.Median(applySamples)
+	row.ScratchNS = stats.Median(scratchSamples)
 	if row.ScratchNS > 0 {
 		row.Ratio = row.ApplyNS / row.ScratchNS
 	}
 	return row, nil
 }
 
-// deltaBenchName is the ledger series key for one overlap point's metric.
-func deltaBenchName(n, active int, ov float64, metric string) string {
-	return fmt.Sprintf("lab/delta/sparse/N=%d/a=%d/ov=%.0f/%s", n, active, 100*ov, metric)
-}
-
-// Entries converts the sweep into ledger entries: theorem-exact rounds
-// (incremental must equal from-scratch), banded apply latency, trended
-// scratch latency, and — on gated points — the apply/scratch speedup
-// bound. The caller stamps provenance via Stamp.Apply.
-func (r *DeltaSweepResult) Entries() []Entry {
-	var out []Entry
-	for _, row := range r.Rows {
-		name := func(metric string) string {
-			return deltaBenchName(row.N, row.Active, row.Overlap, metric)
-		}
-		out = append(out, Entry{Bench: name("rounds"), Unit: "rounds",
-			Value: float64(row.Rounds), Predicted: float64(row.ScratchRounds), Exact: true})
-		apply := Entry{Bench: name("apply_latency"), Unit: "ns/op",
-			Value: row.ApplyNS, Samples: len(row.ApplySamples)}
-		if r.Model != nil {
-			apply.Predicted = row.LatPredictedNS
-		}
-		out = append(out, apply)
-		out = append(out, Entry{Bench: name("scratch_latency"), Unit: "ns/op",
-			Value: row.ScratchNS, Samples: len(row.ScratchSamples)})
-		ratio := Entry{Bench: name("apply_vs_scratch_ratio"), Unit: "ratio",
-			Value: row.Ratio}
-		if row.Gated {
-			ratio.Predicted = r.Config.GateRatio
-			ratio.Bound = true
-		}
-		out = append(out, ratio)
-	}
-	return out
-}
-
 // Table renders the sweep as markdown.
 func (r *DeltaSweepResult) Table() string {
 	tab := stats.NewTable("N", "active", "overlap", "|delta|", "rounds inc/scr",
-		"apply µs", "scratch µs", "ratio", "predicted µs", "verdict")
+		"apply µs", "scratch µs", "ratio", "verdict")
 	for _, row := range r.Rows {
 		verdict := "ok"
 		switch {
@@ -316,28 +261,20 @@ func (r *DeltaSweepResult) Table() string {
 			verdict = "EXACT-MISMATCH"
 		case row.Gated && row.Ratio > r.Config.GateRatio:
 			verdict = "GATE-EXCEEDED"
-		case !row.WithinBand:
-			verdict = "OUT-OF-BAND"
 		}
 		tab.AddRow(row.N, row.Active, fmt.Sprintf("%.0f%%", 100*row.Overlap), row.K,
 			fmt.Sprintf("%d/%d", row.Rounds, row.ScratchRounds),
 			row.ApplyNS/1e3, row.ScratchNS/1e3,
-			fmt.Sprintf("%.2f", row.Ratio), row.LatPredictedNS/1e3, verdict)
+			fmt.Sprintf("%.2f", row.Ratio), verdict)
 	}
-	var b strings.Builder
-	b.WriteString(tab.Markdown())
-	if r.Model != nil {
-		fmt.Fprintf(&b, "\nFitted model:\n  %s\n", r.Model)
-	}
-	return b.String()
+	return tab.Markdown()
 }
 
 // Ok reports whether every row's rounds matched the from-scratch
-// reference, every gated point met the speedup bound, and every apply
-// latency landed inside its band.
+// reference and every gated point met the speedup bound.
 func (r *DeltaSweepResult) Ok() bool {
 	for _, row := range r.Rows {
-		if row.Rounds != row.ScratchRounds || !row.WithinBand {
+		if row.Rounds != row.ScratchRounds {
 			return false
 		}
 		if row.Gated && row.Ratio > r.Config.GateRatio {

@@ -3,8 +3,6 @@ package lab
 import (
 	"fmt"
 	"math/rand"
-	"sort"
-	"strings"
 	"time"
 
 	"cst/internal/comm"
@@ -52,36 +50,29 @@ type Measurement struct {
 	// plan must not exceed. Zero for every other engine, and the switch
 	// that flips the row from theorem-exact scoring to bound scoring.
 	RoundsBound int
-	// LatencyNS is the median wall-clock schedule time over Reps runs;
-	// LatSamples holds every rep.
-	LatencyNS  float64
-	LatSamples []float64
+	// LatencyNS is the median wall-clock schedule time over Reps runs. It
+	// is reported, not scored.
+	LatencyNS float64
 }
 
 // Row is one grid point's measured-vs-predicted comparison.
 type Row struct {
 	Measurement
 	Pred Prediction
-	// LatPredictedNS and LatBandNS come from the engine's fitted latency
-	// model; WithinBand reports |measured − predicted| <= band.
-	LatPredictedNS float64
-	LatBandNS      float64
-	WithinBand     bool
 	// ExactOK reports that every theorem-exact quantity (rounds, words)
 	// matched the prediction, and measured units stayed under the bound.
 	ExactOK bool
 }
 
-// SweepResult is a completed sweep: rows plus the fitted per-engine
-// latency models.
+// SweepResult is a completed sweep.
 type SweepResult struct {
 	Config SweepConfig
 	Rows   []Row
-	Models map[string]*LatencyModel
 }
 
-// RunSweep measures every (engine, N, w) grid point, fits each engine's
-// latency model over its own grid, and scores measured vs predicted.
+// RunSweep measures every (engine, N, w) grid point and scores measured vs
+// predicted. A grid point the twin cannot predict (unknown engine or
+// workload, N not a power of two, w < 1) is an error.
 func RunSweep(cfg SweepConfig) (*SweepResult, error) {
 	if cfg.Reps <= 0 {
 		cfg.Reps = 5
@@ -92,51 +83,41 @@ func RunSweep(cfg SweepConfig) (*SweepResult, error) {
 	if len(cfg.Engines) == 0 {
 		cfg.Engines = []string{EnginePADR, EngineSim, EngineOnline}
 	}
-	var ms []Measurement
+	res := &SweepResult{Config: cfg}
 	for _, engine := range cfg.Engines {
 		for _, n := range cfg.Ns {
 			for _, w := range cfg.Ws {
+				pred, err := Predict(engine, cfg.Workload, n, w)
+				if err != nil {
+					return nil, err
+				}
 				m, err := measure(engine, cfg.Workload, n, w, cfg.Reps, cfg.Seed)
 				if err != nil {
 					return nil, fmt.Errorf("lab: %s N=%d w=%d: %w", engine, n, w, err)
 				}
-				ms = append(ms, *m)
+				res.Rows = append(res.Rows, score(*m, pred))
 			}
 		}
 	}
-	res := &SweepResult{Config: cfg, Models: map[string]*LatencyModel{}}
-	for _, engine := range cfg.Engines {
-		model, err := FitLatency(engine, ms)
-		if err != nil {
-			return nil, err
-		}
-		res.Models[engine] = model
-	}
-	for _, m := range ms {
-		model := res.Models[m.Engine]
-		row := Row{
-			Measurement:    m,
-			Pred:           Predict(m.Engine, m.Workload, m.N, m.W),
-			LatPredictedNS: model.PredictNS(m.N, m.W, m.M),
-		}
-		row.LatBandNS = model.BandNS(row.LatPredictedNS)
-		row.WithinBand = abs(m.LatencyNS-row.LatPredictedNS) <= row.LatBandNS
-		if m.RoundsBound > 0 {
-			// Bound scoring (hybrid): no closed form predicts the
-			// composite round count, but it must never exceed the pure
-			// FirstFit comparator, and each switch rebuilds at most once
-			// per round (3 units per build) — so 3·bound envelopes the
-			// hottest switch.
-			row.ExactOK = m.Rounds <= m.RoundsBound && m.MaxUnits <= 3*m.RoundsBound
-		} else {
-			row.ExactOK = m.Rounds == row.Pred.Rounds &&
-				(row.Pred.Phase1Words == 0 || m.Phase1Words == row.Pred.Phase1Words) &&
-				(row.Pred.Phase2Words == 0 || m.Phase2Words == row.Pred.Phase2Words) &&
-				m.MaxUnits <= row.Pred.MaxUnitsBound
-		}
-		res.Rows = append(res.Rows, row)
-	}
 	return res, nil
+}
+
+// score compares one measurement against its prediction.
+func score(m Measurement, pred Prediction) Row {
+	row := Row{Measurement: m, Pred: pred}
+	if m.RoundsBound > 0 {
+		// Bound scoring (hybrid): no closed form predicts the composite
+		// round count, but it must never exceed the pure FirstFit
+		// comparator, and each switch rebuilds at most once per round (3
+		// units per build) — so 3·bound envelopes the hottest switch.
+		row.ExactOK = m.Rounds <= m.RoundsBound && m.MaxUnits <= 3*m.RoundsBound
+	} else {
+		row.ExactOK = m.Rounds == pred.Rounds &&
+			(pred.Phase1Words == 0 || m.Phase1Words == pred.Phase1Words) &&
+			(pred.Phase2Words == 0 || m.Phase2Words == pred.Phase2Words) &&
+			m.MaxUnits <= pred.MaxUnitsBound
+	}
+	return row
 }
 
 // buildSet constructs the workload's communication set.
@@ -176,6 +157,7 @@ func measure(engine, workload string, n, w, reps int, seed int64) (*Measurement,
 		clones[i] = set.Clone()
 	}
 	m := &Measurement{Engine: engine, Workload: workload, N: n, W: w, M: set.Len()}
+	var samples []float64
 
 	switch engine {
 	case EnginePADR:
@@ -192,7 +174,7 @@ func measure(engine, workload string, n, w, reps int, seed int64) (*Measurement,
 			if err != nil {
 				return nil, err
 			}
-			m.LatSamples = append(m.LatSamples, float64(time.Since(t0).Nanoseconds()))
+			samples = append(samples, float64(time.Since(t0).Nanoseconds()))
 			m.Rounds = res.Rounds
 			m.Phase1Words = res.UpWords
 			m.Phase2Words = res.DownWords
@@ -208,7 +190,7 @@ func measure(engine, workload string, n, w, reps int, seed int64) (*Measurement,
 			if err != nil {
 				return nil, err
 			}
-			m.LatSamples = append(m.LatSamples, float64(time.Since(t0).Nanoseconds()))
+			samples = append(samples, float64(time.Since(t0).Nanoseconds()))
 			m.Rounds = res.Rounds
 			m.Phase1Words = res.Phase1Messages
 			m.Phase2Words = res.Phase2Messages
@@ -231,7 +213,7 @@ func measure(engine, workload string, n, w, reps int, seed int64) (*Measurement,
 				return nil, err
 			}
 			st := osim.Finish()
-			m.LatSamples = append(m.LatSamples, float64(time.Since(t0).Nanoseconds()))
+			samples = append(samples, float64(time.Since(t0).Nanoseconds()))
 			if st.Leftover != 0 || len(st.Completed) != set.Len() {
 				return nil, fmt.Errorf("online run lost requests: %d of %d completed", len(st.Completed), set.Len())
 			}
@@ -246,7 +228,7 @@ func measure(engine, workload string, n, w, reps int, seed int64) (*Measurement,
 			if err != nil {
 				return nil, err
 			}
-			m.LatSamples = append(m.LatSamples, float64(time.Since(t0).Nanoseconds()))
+			samples = append(samples, float64(time.Since(t0).Nanoseconds()))
 			m.Rounds = plan.Rounds
 			m.RoundsBound = plan.FirstFitRounds
 			m.MaxUnits = plan.Report.MaxUnits()
@@ -255,54 +237,14 @@ func measure(engine, workload string, n, w, reps int, seed int64) (*Measurement,
 	default:
 		return nil, fmt.Errorf("unknown engine %q", engine)
 	}
-	m.LatencyNS = stats.Median(m.LatSamples)
+	m.LatencyNS = stats.Median(samples)
 	return m, nil
-}
-
-// BenchName is the ledger series key for one grid point's metric.
-func BenchName(engine, workload string, n, w int, metric string) string {
-	return fmt.Sprintf("lab/%s/%s/N=%d/w=%d/%s", engine, workload, n, w, metric)
-}
-
-// Entries converts a sweep into ledger entries: theorem-exact rounds and
-// word counts, bounded power units, and banded latency. The caller stamps
-// provenance via Stamp.Apply.
-func (r *SweepResult) Entries() []Entry {
-	var out []Entry
-	for _, row := range r.Rows {
-		name := func(metric string) string {
-			return BenchName(row.Engine, row.Workload, row.N, row.W, metric)
-		}
-		if row.RoundsBound > 0 {
-			// Hybrid rows: rounds are bounded by the FirstFit comparator,
-			// not predicted by a theorem; units by 3·bound (one rebuild
-			// per switch per round).
-			out = append(out, Entry{Bench: name("rounds"), Unit: "rounds",
-				Value: float64(row.Rounds), Predicted: float64(row.RoundsBound), Bound: true})
-			out = append(out, Entry{Bench: name("max_units"), Unit: "units",
-				Value: float64(row.MaxUnits), Predicted: float64(3 * row.RoundsBound), Bound: true})
-		} else {
-			out = append(out, Entry{Bench: name("rounds"), Unit: "rounds",
-				Value: float64(row.Rounds), Predicted: float64(row.Pred.Rounds), Exact: true})
-			if row.Pred.Phase1Words > 0 {
-				out = append(out, Entry{Bench: name("phase1_words"), Unit: "words",
-					Value: float64(row.Phase1Words), Predicted: float64(row.Pred.Phase1Words), Exact: true})
-				out = append(out, Entry{Bench: name("phase2_words"), Unit: "words",
-					Value: float64(row.Phase2Words), Predicted: float64(row.Pred.Phase2Words), Exact: true})
-			}
-			out = append(out, Entry{Bench: name("max_units"), Unit: "units",
-				Value: float64(row.MaxUnits), Predicted: float64(row.Pred.MaxUnitsBound), Bound: true})
-		}
-		out = append(out, Entry{Bench: name("latency"), Unit: "ns/op",
-			Value: row.LatencyNS, Samples: len(row.LatSamples), Predicted: row.LatPredictedNS})
-	}
-	return out
 }
 
 // Table renders the measured-vs-predicted comparison as markdown.
 func (r *SweepResult) Table() string {
 	tab := stats.NewTable("engine", "N", "w", "rounds m/p", "p1 words m/p", "p2 words m/p",
-		"units m/bound", "latency µs", "predicted µs", "band ±µs", "verdict")
+		"units m/bound", "latency µs", "verdict")
 	for _, row := range r.Rows {
 		p1 := "-"
 		p2 := "-"
@@ -313,8 +255,6 @@ func (r *SweepResult) Table() string {
 		verdict := "ok"
 		if !row.ExactOK {
 			verdict = "EXACT-MISMATCH"
-		} else if !row.WithinBand {
-			verdict = "OUT-OF-BAND"
 		}
 		roundsPred, unitsBound := row.Pred.Rounds, row.Pred.MaxUnitsBound
 		if row.RoundsBound > 0 {
@@ -323,27 +263,16 @@ func (r *SweepResult) Table() string {
 		tab.AddRow(row.Engine, row.N, row.W,
 			fmt.Sprintf("%d/%d", row.Rounds, roundsPred), p1, p2,
 			fmt.Sprintf("%d/%d", row.MaxUnits, unitsBound),
-			row.LatencyNS/1e3, row.LatPredictedNS/1e3, row.LatBandNS/1e3, verdict)
+			row.LatencyNS/1e3, verdict)
 	}
-	var b strings.Builder
-	b.WriteString(tab.Markdown())
-	b.WriteString("\nFitted models:\n")
-	names := make([]string, 0, len(r.Models))
-	for name := range r.Models {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		fmt.Fprintf(&b, "  %s\n", r.Models[name])
-	}
-	return b.String()
+	return tab.Markdown()
 }
 
 // Ok reports whether every row's theorem-exact quantities matched and
-// every latency landed inside its band.
+// every bounded quantity stayed under its bound.
 func (r *SweepResult) Ok() bool {
 	for _, row := range r.Rows {
-		if !row.ExactOK || !row.WithinBand {
+		if !row.ExactOK {
 			return false
 		}
 	}

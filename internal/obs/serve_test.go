@@ -74,6 +74,13 @@ func TestHandlerNilBackends(t *testing.T) {
 	if code, _ := get(t, h, "/trace"); code != 200 {
 		t.Fatalf("/trace on nil tracer = %d", code)
 	}
+	// No flight recorder attached, on a nil tracer or a live one: 404.
+	if code, _ := get(t, h, "/trace/flight"); code != 404 {
+		t.Fatalf("/trace/flight on nil tracer = %d, want 404", code)
+	}
+	if code, _ := get(t, Handler(nil, NewTracer(nil, 16)), "/trace/flight"); code != 404 {
+		t.Fatalf("/trace/flight with no recorder = %d, want 404", code)
+	}
 }
 
 func TestServe(t *testing.T) {

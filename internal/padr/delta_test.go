@@ -462,13 +462,14 @@ func TestDeltaApplyRoundsAllocFree(t *testing.T) {
 	}
 }
 
-// deltaBenchState builds the N=1024, 90%-overlap workload the BENCH ledger
-// tracks: `active` four-PE slots spread evenly over the PE line, each
-// holding one in-slot communication, with 1−overlap of the slots rotating
-// to a different variant every batch. The set is sparse (64 comms over
-// 1024 PEs) — the regime the incremental hypothesis targets, where a
-// from-scratch prepare pays O(N) while both the delta prepare and the
-// pruned Phase 2 scale with the active communications.
+// deltaBenchState builds the N=1024, 90%-overlap workload the delta
+// benchmarks and the lab's delta sweep share: `active` four-PE slots
+// spread evenly over the PE line, each holding one in-slot communication,
+// with 1−overlap of the slots rotating to a different variant every batch.
+// The set is sparse (64 comms over 1024 PEs) — the regime the incremental
+// hypothesis targets, where a from-scratch prepare pays O(N) while both
+// the delta prepare and the pruned Phase 2 scale with the active
+// communications.
 type deltaBenchState struct {
 	tr    *topology.Tree
 	sets  []*comm.Set // full set per phase, for the scratch engine
@@ -524,8 +525,8 @@ func buildDeltaBench(b *testing.B, n, active int, overlap float64, phases int) *
 
 // BenchmarkDeltaApply measures the incremental path at N=1024 and 90% set
 // overlap; BenchmarkDeltaScratch is the Reset+RunRounds baseline on the
-// same mutation stream. Their ratio feeds BENCH_ledger.jsonl via the lab
-// delta sweep, gated at <= 0.5 (Apply at least 2x faster).
+// same mutation stream. The lab's delta sweep (cstlab delta) gates the
+// same ratio at <= 0.5 (Apply at least 2x faster).
 func BenchmarkDeltaApply(b *testing.B) {
 	st := buildDeltaBench(b, 1024, 64, 0.9, 16)
 	eng, err := New(st.tr, st.start)

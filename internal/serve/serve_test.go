@@ -374,5 +374,24 @@ func TestHTTPHandler(t *testing.T) {
 			t.Fatalf("GET %s = %d", path, resp.StatusCode)
 		}
 	}
+
+	// /statusz after the traffic: the pool's size, and an admission
+	// ledger that balances (set requests never enter it).
+	resp, err = http.Get(srv.URL + "/statusz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var st Stats
+	err = json.NewDecoder(resp.Body).Decode(&st)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatalf("decoding /statusz: %v", err)
+	}
+	if st.PEs != 16 || st.Shards != 1 {
+		t.Errorf("/statusz pes=%d shards=%d, want 16 and 1", st.PEs, st.Shards)
+	}
+	if st.Admitted < 1 || st.Admitted != st.Responded {
+		t.Errorf("/statusz admitted=%d responded=%d, want equal and >= 1", st.Admitted, st.Responded)
+	}
 	drainOK(t, p)
 }

@@ -21,6 +21,25 @@ func flightByRoot(snap obs.FlightSnapshot) map[string]obs.FlightTrace {
 	return m
 }
 
+// getFlight reads the flight recorder the way an operator does: GET
+// /trace/flight on the served mux, decoded into its snapshot type.
+func getFlight(t *testing.T, baseURL string) obs.FlightSnapshot {
+	t.Helper()
+	resp, err := http.Get(baseURL + "/trace/flight")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET /trace/flight = %d", resp.StatusCode)
+	}
+	var snap obs.FlightSnapshot
+	if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
+		t.Fatalf("decoding /trace/flight: %v", err)
+	}
+	return snap
+}
+
 // spanNames collects the set of span names inside one pinned trace.
 func spanNames(ft obs.FlightTrace) map[string]bool {
 	m := make(map[string]bool, len(ft.Spans))
@@ -33,9 +52,11 @@ func spanNames(ft obs.FlightTrace) map[string]bool {
 // TestSpanTreeEndToEnd drives one request of each shape over each protocol
 // with sampling at 1.0 and asserts every one lands in the flight recorder
 // as a single connected span tree: a transport root, the engine spans
-// beneath it, and zero orphans. Run with -race this doubles as the
-// concurrency check on the span path (reader goroutine opens the root, the
-// writer goroutine closes it, the shard worker emits the engine spans).
+// beneath it, and zero orphans. It reads the recorder through GET
+// /trace/flight, so the endpoint's JSON is checked along with the trees.
+// Run with -race this doubles as the concurrency check on the span path
+// (reader goroutine opens the root, the writer goroutine closes it, the
+// shard worker emits the engine spans).
 func TestSpanTreeEndToEnd(t *testing.T) {
 	tr := obs.NewTracer(nil, 4096)
 	tr.SetSampleRate(1)
@@ -143,7 +164,7 @@ func TestSpanTreeEndToEnd(t *testing.T) {
 	var snap obs.FlightSnapshot
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		snap = fr.Snapshot()
+		snap = getFlight(t, srv.URL)
 		if snap.Finished >= 4 || time.Now().After(deadline) {
 			break
 		}
@@ -151,7 +172,7 @@ func TestSpanTreeEndToEnd(t *testing.T) {
 	}
 	teardown()
 
-	snap = fr.Snapshot()
+	snap = getFlight(t, srv.URL)
 	if snap.Finished != 4 {
 		t.Fatalf("finished traces = %d, want 4 (one per request)", snap.Finished)
 	}

@@ -82,82 +82,18 @@ func TestQuantilesSharesOneSort(t *testing.T) {
 	}
 }
 
-func TestMedianMADStddev(t *testing.T) {
-	xs := []float64{1, 2, 3, 4, 100}
-	if got := Median(xs); got != 3 {
+func TestMedian(t *testing.T) {
+	if got := Median([]float64{1, 2, 3, 4, 100}); got != 3 {
 		t.Errorf("Median = %v", got)
 	}
-	// Deviations from 3: {2,1,0,1,97} → median 1. The outlier moves MAD
-	// not at all, which is the point.
-	if got := MAD(xs); got != 1 {
-		t.Errorf("MAD = %v", got)
+	// Nearest rank on an even count takes the lower middle sample.
+	if got := Median([]float64{4, 1, 3, 2}); got != 2 {
+		t.Errorf("Median of 4 samples = %v", got)
 	}
-	if MAD(nil) != 0 || MAD([]float64{5}) != 0 {
-		t.Error("MAD of <2 samples must be 0")
+	if got := Median([]float64{math.NaN(), 1, 2, 3}); got != 2 {
+		t.Errorf("Median must ignore NaN: %v", got)
 	}
-	if got := Stddev([]float64{2, 4, 4, 4, 5, 5, 7, 9}); math.Abs(got-2.138) > 0.001 {
-		t.Errorf("Stddev = %v", got)
-	}
-	if Stddev(nil) != 0 || Stddev([]float64{1}) != 0 {
-		t.Error("Stddev of <2 samples must be 0")
-	}
-	if got := MAD([]float64{math.NaN(), 1, 2, 3}); got != 1 {
-		t.Errorf("MAD must ignore NaN: %v", got)
-	}
-}
-
-func TestLeastSquaresRecoversLine(t *testing.T) {
-	// y = 3 + 2x, exactly.
-	var x [][]float64
-	var y []float64
-	for i := 0; i < 10; i++ {
-		x = append(x, []float64{1, float64(i)})
-		y = append(y, 3+2*float64(i))
-	}
-	c, err := LeastSquares(x, y)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(c[0]-3) > 1e-9 || math.Abs(c[1]-2) > 1e-9 {
-		t.Fatalf("coefficients = %v, want [3 2]", c)
-	}
-}
-
-func TestLeastSquaresTwoFeatures(t *testing.T) {
-	// y = 1 + 2a + 5b over a small grid.
-	var x [][]float64
-	var y []float64
-	for a := 0; a < 4; a++ {
-		for b := 0; b < 4; b++ {
-			x = append(x, []float64{1, float64(a), float64(b)})
-			y = append(y, 1+2*float64(a)+5*float64(b))
-		}
-	}
-	c, err := LeastSquares(x, y)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, want := range []float64{1, 2, 5} {
-		if math.Abs(c[i]-want) > 1e-9 {
-			t.Fatalf("coefficients = %v", c)
-		}
-	}
-}
-
-func TestLeastSquaresErrors(t *testing.T) {
-	if _, err := LeastSquares(nil, nil); err == nil {
-		t.Error("empty system must error")
-	}
-	if _, err := LeastSquares([][]float64{{1, 2}}, []float64{1}); err == nil {
-		t.Error("underdetermined system must error")
-	}
-	if _, err := LeastSquares([][]float64{{1}, {1, 2}}, []float64{1, 2}); err == nil {
-		t.Error("ragged X must error")
-	}
-	if _, err := LeastSquares([][]float64{{1}, {math.NaN()}}, []float64{1, 2}); err == nil {
-		t.Error("NaN feature must error")
-	}
-	if _, err := LeastSquares([][]float64{{1, 1}, {1, 1}, {1, 1}}, []float64{1, 2, 3}); err == nil {
-		t.Error("dependent features must error")
+	if Median(nil) != 0 {
+		t.Error("Median of no samples must be 0")
 	}
 }

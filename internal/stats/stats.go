@@ -1,8 +1,7 @@
-// Package stats provides the shared numeric helpers — quantiles, robust
-// spread (MAD), least-squares fitting — and the table formatting the
-// experiment harness, load generator and perf lab all build on. Every
-// consumer that reports a percentile routes through Quantile so the repo
-// has exactly one definition of "p99".
+// Package stats provides the shared numeric helpers — mean, extremes,
+// quantiles — and the table formatting the experiment harness and perf lab
+// build on. Every consumer that reports a percentile routes through
+// Quantile so the repo has exactly one definition of "p99".
 package stats
 
 import (

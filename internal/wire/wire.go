@@ -835,7 +835,7 @@ func (r *Reader) Next() (typ byte, body []byte, err error) {
 
 // ClientConn is a client side of the wire protocol: one persistent
 // connection with pipelined sends. It is not safe for concurrent use; run
-// one ClientConn per goroutine (cstload runs one per client).
+// one ClientConn per goroutine.
 type ClientConn struct {
 	conn    net.Conn
 	r       *Reader
