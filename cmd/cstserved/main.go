@@ -14,8 +14,8 @@
 // Examples:
 //
 //	cstserved -addr :8080 -pes 64 -shards 4
-//	cstserved -addr :8080 -wire-addr :8081 -batch-wait 0
-//	cstserved -addr :8080 -batch-max 64 -batch-wait 5ms -deadline 250ms
+//	cstserved -addr :8080 -wire-addr :8081
+//	cstserved -addr :8080 -batch-max 64 -deadline 250ms
 //	cstserved -addr :8080 -audit -chaos 8 -seed 7   # fault-injected soak
 //
 // See SERVING.md for the API and drain protocol.
@@ -44,7 +44,6 @@ type options struct {
 	shards        int
 	queueDepth    int
 	batchMax      int
-	batchWait     time.Duration
 	deadline      time.Duration
 	drainGrace    time.Duration
 	traceRing     int
@@ -69,8 +68,8 @@ func parseFlags(args []string) (options, error) {
 	fs.IntVar(&o.pes, "pes", 64, "processing elements per shard fabric (power of two)")
 	fs.IntVar(&o.shards, "shards", 2, "independent CST fabrics, one dispatcher worker each")
 	fs.IntVar(&o.queueDepth, "queue-depth", 64, "admission queue depth per shard (full queues answer 429)")
-	fs.IntVar(&o.batchMax, "batch-max", 32, "flush a batch at this many requests")
-	fs.DurationVar(&o.batchWait, "batch-wait", 2*time.Millisecond, "flush a partial batch this long after its first request")
+	fs.IntVar(&o.batchMax, "batch-max", 32, "most requests one flush takes from a shard's queue")
+	fs.Duration("batch-wait", 0, "accepted for compatibility, ignored: a shard flushes whatever is queued as soon as it is free")
 	fs.DurationVar(&o.deadline, "deadline", 0, "default per-request deadline (0 = none; requests may override)")
 	fs.DurationVar(&o.drainGrace, "drain-grace", 10*time.Second, "drain budget on SIGTERM before giving up")
 	fs.IntVar(&o.traceRing, "trace-ring", 4096, "trace ring capacity for /trace")
@@ -98,6 +97,11 @@ func parseFlags(args []string) (options, error) {
 	}
 	return o, nil
 }
+
+// readHeaderTimeout bounds how long a client may take to send its request
+// headers, as on the obs endpoint: a client that stalls mid-header is
+// disconnected instead of holding its connection forever.
+const readHeaderTimeout = 10 * time.Second
 
 // server bundles the pool, the HTTP listener and the observability
 // backends so drain can tear everything down in order.
@@ -151,7 +155,6 @@ func newServer(o options, out io.Writer) (*server, error) {
 		Shards:          o.shards,
 		QueueDepth:      o.queueDepth,
 		BatchMax:        o.batchMax,
-		BatchWait:       o.batchWait,
 		DefaultDeadline: o.deadline,
 		Registry:        s.reg,
 		Tracer:          s.tracer,
@@ -182,7 +185,8 @@ func newServer(o options, out io.Writer) (*server, error) {
 		Registry:    s.reg,
 		Tracer:      s.tracer,
 	})
-	s.srv = &http.Server{Handler: cst.NewServeHandler(pool, s.planner, s.reg, s.tracer)}
+	s.srv = &http.Server{Handler: cst.NewServeHandler(pool, s.planner, s.reg, s.tracer),
+		ReadHeaderTimeout: readHeaderTimeout}
 	if o.wireAddr != "" {
 		wln, err := net.Listen("tcp", o.wireAddr)
 		if err != nil {
@@ -269,15 +273,16 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
+	// Catch the drain signal before the banner announces readiness: a
+	// client may send SIGTERM as soon as its first request is answered.
+	ch := make(chan os.Signal, 1)
+	signal.Notify(ch, os.Interrupt, syscall.SIGTERM)
 	s.serve()
-	fmt.Printf("cstserved: serving on %s (pes=%d shards=%d queue=%d batch=%d/%v)\n",
-		s.addr(), o.pes, o.shards, o.queueDepth, o.batchMax, o.batchWait)
+	fmt.Printf("cstserved: serving on %s (pes=%d shards=%d queue=%d batch=%d)\n",
+		s.addr(), o.pes, o.shards, o.queueDepth, o.batchMax)
 	if wa := s.wireAddr(); wa != "" {
 		fmt.Printf("cstserved: wire protocol on %s\n", wa)
 	}
-
-	ch := make(chan os.Signal, 1)
-	signal.Notify(ch, os.Interrupt, syscall.SIGTERM)
 	<-ch
 	fmt.Println("cstserved: signal received, draining")
 	if err := s.drain(); err != nil {

@@ -2,6 +2,9 @@ package main
 
 import (
 	"bytes"
+	"fmt"
+	"io"
+	"net"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -27,11 +30,13 @@ func testOptions(t *testing.T) options {
 }
 
 func TestParseFlags(t *testing.T) {
+	// -batch-wait is ignored but must keep parsing: existing command
+	// lines pass it.
 	o, err := parseFlags([]string{"-addr", ":9999", "-pes", "32", "-batch-wait", "5ms"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if o.addr != ":9999" || o.pes != 32 || o.batchWait != 5*time.Millisecond {
+	if o.addr != ":9999" || o.pes != 32 {
 		t.Fatalf("parsed %+v", o)
 	}
 	if _, err := parseFlags([]string{"-shards", "0"}); err == nil {
@@ -83,6 +88,83 @@ func TestServeScheduleAndDrain(t *testing.T) {
 	}
 	if _, err := http.Get(base + "/healthz"); err == nil {
 		t.Error("listener still accepting after drain")
+	}
+}
+
+// TestHTTPLimits pins the HTTP listener's bounds on hostile clients: an
+// oversized body on any /schedule* endpoint is refused 413 without being
+// read to its end, and a client that stalls mid-header is disconnected
+// within the header timeout.
+func TestHTTPLimits(t *testing.T) {
+	s, err := newServer(testOptions(t), io.Discard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.srv.ReadHeaderTimeout != readHeaderTimeout {
+		t.Fatalf("ReadHeaderTimeout = %v, want %v", s.srv.ReadHeaderTimeout, readHeaderTimeout)
+	}
+	// Shortened so the stall case does not sit out the full timeout.
+	const headerTimeout = 200 * time.Millisecond
+	s.srv.ReadHeaderTimeout = headerTimeout
+	s.serve()
+	defer func() {
+		if err := s.drain(); err != nil {
+			t.Errorf("drain: %v", err)
+		}
+	}()
+	base := "http://" + s.addr()
+
+	// Valid JSON padded with whitespace to 1 MiB, far past the body cap.
+	huge := `{"src":0,"dst":1` + strings.Repeat(" ", 1<<20) + `}`
+	oversized := func(path string) func() (int, error) {
+		return func() (int, error) {
+			resp, err := http.Post(base+path, "application/json", strings.NewReader(huge))
+			if err != nil {
+				return 0, err
+			}
+			resp.Body.Close()
+			return resp.StatusCode, nil
+		}
+	}
+	stalledHeader := func() (int, error) {
+		conn, err := net.Dial("tcp", s.addr())
+		if err != nil {
+			return 0, err
+		}
+		defer conn.Close()
+		if _, err := io.WriteString(conn, "POST /schedule HTTP/1.1\r\nHost: cstserved\r\n"); err != nil {
+			return 0, err
+		}
+		_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+		if n, err := conn.Read(make([]byte, 1)); n != 0 || err != io.EOF {
+			return 0, fmt.Errorf("read after a stalled header: %d bytes, %v; want the server to close", n, err)
+		}
+		return 0, nil
+	}
+	for _, tc := range []struct {
+		name   string
+		send   func() (int, error)
+		want   int // response status; 0 = closed without an answer
+		within time.Duration
+	}{
+		{"oversized /schedule body", oversized("/schedule"), http.StatusRequestEntityTooLarge, 5 * time.Second},
+		{"oversized /schedule-set body", oversized("/schedule-set"), http.StatusRequestEntityTooLarge, 5 * time.Second},
+		{"oversized /schedule-delta body", oversized("/schedule-delta"), http.StatusRequestEntityTooLarge, 5 * time.Second},
+		{"header stalled mid-request", stalledHeader, 0, headerTimeout + 2*time.Second},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			start := time.Now()
+			got, err := tc.send()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != tc.want {
+				t.Fatalf("status %d, want %d", got, tc.want)
+			}
+			if elapsed := time.Since(start); elapsed > tc.within {
+				t.Fatalf("took %v, want under %v", elapsed, tc.within)
+			}
+		})
 	}
 }
 

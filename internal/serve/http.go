@@ -2,6 +2,8 @@ package serve
 
 import (
 	"encoding/json"
+	"errors"
+	"fmt"
 	"net/http"
 	"time"
 
@@ -69,9 +71,8 @@ func Handler(p *Pool, pl *Planner, reg *obs.Registry, tr *obs.Tracer) http.Handl
 		remote, _ := obs.ParseTraceHeader(r.Header.Get(obs.TraceHeader))
 		sp := tr.StartServer("http.schedule", "serve", remote)
 		var req ScheduleRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			finishHTTPError(w, tr, &sp, "http.schedule", start,
-				http.StatusBadRequest, "bad JSON: "+err.Error())
+		if status, msg := decodeBody(w, r, &req); status != 0 {
+			finishHTTPError(w, tr, &sp, "http.schedule", start, status, msg)
 			return
 		}
 		res := p.schedule(req.Src, req.Dst, time.Duration(req.DeadlineMS)*time.Millisecond, sp.Context())
@@ -97,9 +98,8 @@ func Handler(p *Pool, pl *Planner, reg *obs.Registry, tr *obs.Tracer) http.Handl
 		remote, _ := obs.ParseTraceHeader(r.Header.Get(obs.TraceHeader))
 		sp := tr.StartServer("http.plan", "serve", remote)
 		var req ScheduleSetRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			finishHTTPError(w, tr, &sp, "http.plan", start,
-				http.StatusBadRequest, "bad JSON: "+err.Error())
+		if status, msg := decodeBody(w, r, &req); status != 0 {
+			finishHTTPError(w, tr, &sp, "http.plan", start, status, msg)
 			return
 		}
 		s := &comm.Set{N: req.N, Comms: make([]comm.Comm, len(req.Comms))}
@@ -126,9 +126,8 @@ func Handler(p *Pool, pl *Planner, reg *obs.Registry, tr *obs.Tracer) http.Handl
 		remote, _ := obs.ParseTraceHeader(r.Header.Get(obs.TraceHeader))
 		sp := tr.StartServer("http.delta", "serve", remote)
 		var req ScheduleDeltaRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			finishHTTPError(w, tr, &sp, "http.delta", start,
-				http.StatusBadRequest, "bad JSON: "+err.Error())
+		if status, msg := decodeBody(w, r, &req); status != 0 {
+			finishHTTPError(w, tr, &sp, "http.delta", start, status, msg)
 			return
 		}
 		remove := make([]comm.Comm, len(req.Remove))
@@ -156,6 +155,26 @@ func Handler(p *Pool, pl *Planner, reg *obs.Registry, tr *obs.Tracer) http.Handl
 		_ = json.NewEncoder(w).Encode(p.Snapshot())
 	})
 	return mux
+}
+
+// maxBodyBytes caps a /schedule* request body, so an oversized payload is
+// refused before it is held in memory: room for a delta's remove and add
+// lists of DefaultMaxPlanComms comms each, at 64 bytes of JSON per comm.
+const maxBodyBytes = 2 * DefaultMaxPlanComms * 64
+
+// decodeBody decodes one JSON request body read through a
+// http.MaxBytesReader. It returns status 0 on success, 413 for a body over
+// maxBodyBytes and 400 for any other decode failure, with the message.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) (int, string) {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v)
+	var tooLarge *http.MaxBytesError
+	switch {
+	case err == nil:
+		return 0, ""
+	case errors.As(err, &tooLarge):
+		return http.StatusRequestEntityTooLarge, fmt.Sprintf("request body over %d bytes", maxBodyBytes)
+	}
+	return http.StatusBadRequest, "bad JSON: " + err.Error()
 }
 
 // writeTraced writes one JSON response body, stamping the trace id into the

@@ -12,6 +12,7 @@
 package serve
 
 import (
+	"fmt"
 	"sync"
 	"time"
 
@@ -27,6 +28,16 @@ import (
 // similar bound structurally (a set request must fit one frame); this is
 // the HTTP-side equivalent.
 const DefaultMaxPlanComms = 1024
+
+// MaxPlanPEs caps the PE count n of a planned set on both transports.
+// Planning costs O(n) whatever the set's size, so n, not the comm count,
+// bounds what one request can cost: on a 2-vCPU Xeon VM a one-comm plan
+// at n = 16,384 took about 17 ms and allocated 13.5 MiB, at n = 65,536
+// about 70 ms and 54 MiB, all under the planner's mutex. The cap also
+// bounds the tree cache to log2(MaxPlanPEs) trees (0.4 MiB at the cap),
+// and it leaves 8x room over the n = 2,048 a full DefaultMaxPlanComms set
+// needs.
+const MaxPlanPEs = 1 << 14
 
 // PlannerConfig parameterizes a Planner.
 type PlannerConfig struct {
@@ -176,6 +187,10 @@ func (p *Planner) plan(s *comm.Set, proto uint8, includeRounds bool, sctx obs.Sp
 	if s.Len() > p.cfg.MaxComms {
 		p.met.failed.Inc()
 		return SetResult{Status: 413, Err: "serve: set too large"}
+	}
+	if s.N > MaxPlanPEs {
+		p.met.failed.Inc()
+		return SetResult{Status: 413, Err: fmt.Sprintf("serve: n = %d over the %d-PE cap", s.N, MaxPlanPEs)}
 	}
 	if err := s.Validate(); err != nil {
 		p.met.failed.Inc()

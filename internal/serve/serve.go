@@ -1,18 +1,19 @@
 // Package serve turns the online dispatcher into a long-running scheduling
 // service: a pool of CST shards (one online.Simulator per shard, each
 // goroutine-confined to its dispatcher worker), an admission queue with
-// bounded depth and explicit backpressure, deadline- and size-triggered
-// batch flushing, per-request deadlines reported through the fault
-// package's error taxonomy, and a graceful drain that stops admission,
-// flushes every queue and loses no accepted request.
+// bounded depth and explicit backpressure, work-conserving batch
+// flushing, per-request deadlines reported through the fault package's
+// error taxonomy, and a graceful drain that stops admission, flushes every
+// queue and loses no accepted request.
 //
 // The simulator is synchronous and not safe for concurrent use, so the
 // service never shares one across goroutines. Each worker owns its shard's
 // simulator outright; the HTTP layer only ever touches the admission
 // channels and the (atomic) counters. Scheduling work batches naturally:
-// a worker collects requests until the batch is full or the batch timer
-// fires, submits the wave, and dispatches until its fabric is idle — the
-// same quiesce loop pinned by the online package's drain tests.
+// a free worker takes whatever is queued (up to BatchMax) without waiting
+// for more, submits the wave, and dispatches until its fabric is idle — the
+// same quiesce loop pinned by the online package's drain tests. Requests
+// that arrive meanwhile form the next batch.
 package serve
 
 import (
@@ -35,7 +36,6 @@ const (
 	DefaultPEs        = 64
 	DefaultQueueDepth = 64
 	DefaultBatchMax   = 32
-	DefaultBatchWait  = 2 * time.Millisecond
 )
 
 // ErrDraining rejects admissions after Drain has begun.
@@ -59,11 +59,11 @@ type Config struct {
 	// QueueDepth bounds each shard's admission queue; a request that finds
 	// every queue full is rejected with ErrQueueFull.
 	QueueDepth int
-	// BatchMax flushes a batch once it holds this many requests.
+	// BatchMax caps the requests one flush takes from the queue.
 	BatchMax int
-	// BatchWait flushes a partial batch this long after its first request
-	// arrived. Zero or negative flushes immediately (no batching delay
-	// beyond what is already queued).
+	// BatchWait is accepted for compatibility and ignored: a worker never
+	// holds a partial batch, it flushes whatever is queued as soon as it is
+	// free.
 	BatchWait time.Duration
 	// DefaultDeadline bounds each request's wall-clock time in the service
 	// unless the request carries its own; zero means no default deadline.
@@ -271,12 +271,11 @@ type worker struct {
 	wait map[[2]int]*call
 
 	// Steady-state scratch, confined to the worker goroutine: the batch
-	// under collection, two alternating wave buffers for flush's deferral
-	// loop, and the reused batch timer. Together with the simulator's own
-	// scratch reuse these keep a worker's request cycle allocation-free.
+	// under collection and two alternating wave buffers for flush's
+	// deferral loop. Together with the simulator's own scratch reuse these
+	// keep a worker's request cycle allocation-free.
 	batchScratch []*call
 	waveA, waveB []*call
-	timer        *time.Timer
 }
 
 // New builds a pool; workers do not run until Start.
@@ -480,129 +479,47 @@ func (p *Pool) Snapshot() Stats {
 	return st
 }
 
-// run is the worker loop: collect a batch, flush it, repeat until the
-// admission channel is closed and drained.
+// run is the worker loop: take the next request, serve it inline if it is
+// a delta, otherwise flush it with whatever else is queued; repeat until
+// the admission channel is closed and drained.
 func (w *worker) run() {
-	for {
-		c, ok := <-w.ch
-		if !ok {
-			return
-		}
+	for c := range w.ch {
 		if c.delta != nil {
 			w.serveDelta(c)
 			continue
 		}
-		batch := w.collect(c)
-		if len(batch) > 0 {
-			w.flush(batch)
-		}
+		w.flush(w.collect(c))
 	}
 }
 
-// collect gathers a batch starting from first: up to BatchMax requests,
-// waiting at most BatchWait after the first arrival for stragglers. The
-// wait is deadline-aware: the timer is armed to the earlier of the batch
-// window and the soonest per-request deadline in the batch, and expired
-// requests are settled 504 on the spot instead of riding out the window —
-// so an expired request in a quiet queue never waits for the next
-// size/deadline trigger. The batch is built in the worker's reused
-// scratch array (valid until the next collect) and the batch timer is
-// pooled across batches. May return an empty batch when every collected
-// request expired; run skips the flush entirely in that case.
+// collect gathers a batch starting from first: every request already
+// queued, up to BatchMax, without waiting for more. The worker is
+// work-conserving — it never idles while a request is queued — so a batch
+// is whatever arrived while the previous flush ran. Deltas met on the way
+// are served inline, never batched: the session's warm engine is only
+// coherent when its deltas apply in admission order on this worker. The
+// batch is built in the worker's reused scratch array, valid until the
+// next collect. Expired requests are left to flush, which settles them 504.
 func (w *worker) collect(first *call) []*call {
 	batch := append(w.batchScratch[:0], first)
-	defer func() { w.batchScratch = batch }()
-	if w.pool.cfg.BatchWait <= 0 {
-		for len(batch) < w.pool.cfg.BatchMax {
-			select {
-			case c, ok := <-w.ch:
-				if !ok {
-					return batch
-				}
-				if c.delta != nil {
-					w.serveDelta(c)
-					continue
-				}
-				batch = append(batch, c)
-			default:
-				return batch
-			}
-		}
-		return batch
-	}
-	flushAt := time.Now().Add(w.pool.cfg.BatchWait)
-	for {
-		batch = w.expire(batch)
-		if len(batch) >= w.pool.cfg.BatchMax || (len(batch) == 0 && len(w.ch) == 0) {
-			return batch
-		}
-		// Wake at the sooner of the batch window's end and the earliest
-		// live deadline in the batch.
-		wake := flushAt
-		for _, c := range batch {
-			if !c.deadline.IsZero() && c.deadline.Before(wake) {
-				wake = c.deadline
-			}
-		}
-		wait := time.Until(wake)
-		if wait <= 0 && wake.Equal(flushAt) {
-			return batch
-		}
-		if w.timer == nil {
-			w.timer = time.NewTimer(wait)
-		} else {
-			// Reused timer re-arm: Stop, drain a stale fire if one slipped
-			// in, then Reset. Worst case a stale tick flushes one batch
-			// early — a latency blip, never a correctness issue.
-			if !w.timer.Stop() {
-				select {
-				case <-w.timer.C:
-				default:
-				}
-			}
-			w.timer.Reset(wait)
-		}
+gather:
+	for len(batch) < w.pool.cfg.BatchMax {
 		select {
 		case c, ok := <-w.ch:
 			if !ok {
-				return batch
+				break gather
 			}
 			if c.delta != nil {
-				// Deltas are served inline, never batched: the session's
-				// warm engine is only coherent when its deltas apply in
-				// admission order on this worker.
 				w.serveDelta(c)
 				continue
 			}
 			batch = append(batch, c)
-		case <-w.timer.C:
-			if !time.Now().Before(flushAt) {
-				return batch
-			}
-			// A request deadline fired before the window closed: loop so
-			// the sweep settles it and the timer re-arms for the rest.
+		default:
+			break gather
 		}
 	}
-}
-
-// expire settles batch members whose deadline has already passed and
-// compacts the batch in place. Settling here — not only at flush — is
-// what bounds a queued request's 504 latency by its own deadline rather
-// than by the batch window.
-func (w *worker) expire(batch []*call) []*call {
-	now := time.Now()
-	kept := batch[:0]
-	for _, c := range batch {
-		if !c.deadline.IsZero() && !now.Before(c.deadline) {
-			w.pool.met.deadline.Inc()
-			w.pool.met.queueDepth.Add(-1)
-			w.settle(c, Result{Status: http.StatusGatewayTimeout,
-				Err: fmt.Sprintf("serve: %v before dispatch", fault.ErrDeadline)})
-			continue
-		}
-		kept = append(kept, c)
-	}
-	return kept
+	w.batchScratch = batch
+	return batch
 }
 
 // flush answers every request in the batch. It submits requests in waves

@@ -99,59 +99,98 @@ func TestBackpressure(t *testing.T) {
 	}
 }
 
-// TestDeadline pins the 504 path: a request whose deadline expires while
-// its batch is still collecting is answered with the fault package's
-// deadline taxonomy instead of being scheduled.
+// TestDeadline pins the 504 path: a request whose deadline passes while it
+// sits in the admission queue is answered with the fault package's
+// deadline taxonomy instead of being scheduled. The request is queued
+// before the worker starts, so it is already expired when its flush runs.
 func TestDeadline(t *testing.T) {
-	p, err := New(Config{PEs: 16, Shards: 1, BatchMax: 100, BatchWait: 200 * time.Millisecond})
+	reg := obs.New()
+	p, err := New(Config{PEs: 16, Shards: 1, Registry: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
+	done := make(chan Result, 1)
+	go func() { done <- p.Schedule(0, 3, time.Millisecond) }()
+	for p.Snapshot().Admitted == 0 {
+		time.Sleep(time.Millisecond)
+	}
+	time.Sleep(20 * time.Millisecond)
 	p.Start()
-	res := p.Schedule(0, 3, time.Millisecond)
+	res := <-done
 	if res.Status != http.StatusGatewayTimeout {
 		t.Fatalf("expired request: status %d (%s), want 504", res.Status, res.Err)
 	}
 	if !strings.Contains(res.Err, fault.ErrDeadline.Error()) {
 		t.Fatalf("deadline error %q does not carry the fault taxonomy %q", res.Err, fault.ErrDeadline)
+	}
+	if n := reg.Snapshot().Counters["cst_serve_deadline_total"]; n != 1 {
+		t.Fatalf("cst_serve_deadline_total = %d, want 1", n)
 	}
 	drainOK(t, p)
 }
 
-// TestDeadlinePromptExpiry pins the timer-driven expiry sweep: an expired
-// request in a quiet queue settles as soon as its own deadline passes —
-// not when the batch window closes — and generates no flush traffic at
-// all, since the batch it sat in emptied before anything was dispatched.
-func TestDeadlinePromptExpiry(t *testing.T) {
-	const window = 30 * time.Second
-	p, err := New(Config{PEs: 16, Shards: 1, BatchMax: 100, BatchWait: window,
-		Registry: obs.New()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	p.Start()
-	start := time.Now()
-	res := p.Schedule(0, 3, 20*time.Millisecond)
-	elapsed := time.Since(start)
-	if res.Status != http.StatusGatewayTimeout {
-		t.Fatalf("expired request: status %d (%s), want 504", res.Status, res.Err)
-	}
-	if !strings.Contains(res.Err, fault.ErrDeadline.Error()) {
-		t.Fatalf("deadline error %q does not carry the fault taxonomy %q", res.Err, fault.ErrDeadline)
-	}
-	if elapsed >= window {
-		t.Fatalf("504 took %v: the request rode out the %v batch window", elapsed, window)
-	}
-	if elapsed > 5*time.Second {
-		t.Fatalf("504 took %v, want prompt settlement near the 20ms deadline", elapsed)
-	}
-	if n := p.met.flushes.Value(); n != 0 {
-		t.Fatalf("expiry sweep generated %d flushes, want 0", n)
-	}
-	if n := p.met.deadline.Value(); n != 1 {
-		t.Fatalf("deadline counter = %d, want 1", n)
-	}
-	drainOK(t, p)
+// TestWorkConservingFlush pins the batch policy: a free worker flushes
+// whatever is queued at once, up to BatchMax, and never waits for more —
+// whatever BatchWait says.
+func TestWorkConservingFlush(t *testing.T) {
+	t.Run("lone request", func(t *testing.T) {
+		reg := obs.New()
+		p, err := New(Config{PEs: 16, Shards: 1, BatchWait: 5 * time.Second, Registry: reg})
+		if err != nil {
+			t.Fatal(err)
+		}
+		p.Start()
+		start := time.Now()
+		res := p.Schedule(0, 3, 0)
+		if elapsed := time.Since(start); elapsed >= time.Second {
+			t.Fatalf("lone request took %v: it waited for a batch to fill", elapsed)
+		}
+		if res.Status != http.StatusOK {
+			t.Fatalf("status %d (%s), want 200", res.Status, res.Err)
+		}
+		if n := reg.Snapshot().Counters["cst_serve_flushes_total"]; n != 1 {
+			t.Fatalf("cst_serve_flushes_total = %d, want 1", n)
+		}
+		drainOK(t, p)
+	})
+	t.Run("queued backlog", func(t *testing.T) {
+		const queued = 40
+		reg := obs.New()
+		p, err := New(Config{PEs: 128, Shards: 1, QueueDepth: queued, BatchMax: 32,
+			BatchWait: 5 * time.Second, Registry: reg})
+		if err != nil {
+			t.Fatal(err)
+		}
+		results := make(chan Result, queued)
+		for i := 0; i < queued; i++ {
+			go func(i int) { results <- p.Schedule(2*i, 2*i+1, 0) }(i)
+		}
+		for p.Snapshot().Admitted < queued {
+			time.Sleep(time.Millisecond)
+		}
+		p.Start()
+		for i := 0; i < queued; i++ {
+			if res := <-results; res.Status != http.StatusOK {
+				t.Fatalf("backlog request: status %d (%s)", res.Status, res.Err)
+			}
+		}
+		snap := reg.Snapshot()
+		if n := snap.Counters["cst_serve_flushes_total"]; n != 2 {
+			t.Fatalf("cst_serve_flushes_total = %d, want 2", n)
+		}
+		// Two batches summing to 40, one in the (4, 8] bucket and one in
+		// (16, 32]: only 8 and 32 fit.
+		h := snap.Histograms["cst_serve_batch_size"]
+		perBucket := map[float64]int64{}
+		for i, bound := range h.Bounds {
+			perBucket[bound] = h.Counts[i]
+		}
+		if h.Count != 2 || h.Sum != queued || perBucket[8] != 1 || perBucket[32] != 1 {
+			t.Fatalf("batch sizes: count %d, sum %g, buckets %v; want one batch of 32 and one of 8",
+				h.Count, h.Sum, perBucket)
+		}
+		drainOK(t, p)
+	})
 }
 
 // TestQuarantine pins the 500 path: a fault plan that defeats every

@@ -8,7 +8,9 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"net/http/httptest"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -95,7 +97,7 @@ func TestWireRoundtrip(t *testing.T) {
 // by id, regardless of completion order.
 func TestWirePipelining(t *testing.T) {
 	addr, p, _, teardown := startWire(t,
-		Config{PEs: 64, Shards: 2, BatchWait: time.Millisecond}, WireConfig{MaxPipeline: 32})
+		Config{PEs: 64, Shards: 2}, WireConfig{MaxPipeline: 32})
 	defer teardown()
 
 	c, err := wire.Dial(addr, 5*time.Second)
@@ -243,7 +245,7 @@ func TestWireProtocolErrors(t *testing.T) {
 // at zero loss.
 func TestWireDrainZeroLoss(t *testing.T) {
 	addr, p, ws, _ := startWire(t,
-		Config{PEs: 64, Shards: 2, BatchWait: 5 * time.Millisecond}, WireConfig{MaxPipeline: 16})
+		Config{PEs: 64, Shards: 2}, WireConfig{MaxPipeline: 16})
 
 	// Every client finishes its handshake before the drain starts: a
 	// Shutdown that lands mid-handshake closes the connection before it
@@ -391,9 +393,7 @@ func TestWireServeAllocFree(t *testing.T) {
 	tr.SetSampleRate(0)
 	tr.SetFlight(obs.NewFlightRecorder(4))
 	addr, _, _, teardown := startWire(t,
-		// BatchWait 0 flushes immediately: the timer never arms, so the
-		// measurement has no timer-goroutine noise.
-		Config{PEs: 64, Shards: 1, BatchWait: 0, Tracer: tr},
+		Config{PEs: 64, Shards: 1, Tracer: tr},
 		WireConfig{MaxPipeline: 8, Tracer: tr})
 	defer teardown()
 
@@ -557,10 +557,73 @@ func TestWireSetWithoutPlanner(t *testing.T) {
 	}
 }
 
+// TestPlanSizeCap drives set sizes past MaxPlanPEs over both transports,
+// which share one planner: each is refused 413 before a tree is built, so
+// the tree cache stays empty. A set at the cap still plans.
+func TestPlanSizeCap(t *testing.T) {
+	pl := NewPlanner(PlannerConfig{})
+	addr, p, _, teardown := startWire(t, Config{PEs: 16, Shards: 1}, WireConfig{Planner: pl})
+	defer teardown()
+	srv := httptest.NewServer(Handler(p, pl, nil, nil))
+	defer srv.Close()
+	c, err := wire.Dial(addr, 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	overHTTP := func(n int) int {
+		resp, err := http.Post(srv.URL+"/schedule-set", "application/json",
+			strings.NewReader(fmt.Sprintf(`{"n":%d,"comms":[{"src":0,"dst":1}]}`, n)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	overWire := func(n int) int {
+		if err := c.SendSet(&wire.SetRequest{ID: uint64(n), N: n, Pairs: [][2]int{{0, 1}}}); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		var sr wire.SetResponse
+		if err := c.RecvSet(&sr); err != nil {
+			t.Fatal(err)
+		}
+		return sr.Status
+	}
+	cachedTrees := func() int {
+		pl.mu.Lock()
+		defer pl.mu.Unlock()
+		return len(pl.trees)
+	}
+	for _, tc := range []struct {
+		name string
+		send func(n int) int
+	}{{"http", overHTTP}, {"wire", overWire}} {
+		for _, n := range []int{MaxPlanPEs + 1, 2 * MaxPlanPEs} {
+			if got := tc.send(n); got != http.StatusRequestEntityTooLarge {
+				t.Errorf("%s n=%d: status %d, want 413", tc.name, n, got)
+			}
+			if trees := cachedTrees(); trees != 0 {
+				t.Fatalf("%s n=%d: %d trees cached, want 0", tc.name, n, trees)
+			}
+		}
+	}
+	if got := overWire(MaxPlanPEs); got != http.StatusOK {
+		t.Fatalf("n=%d (the cap): status %d, want 200", MaxPlanPEs, got)
+	}
+	if trees := cachedTrees(); trees != 1 {
+		t.Fatalf("after a plan at the cap: %d trees cached, want 1", trees)
+	}
+}
+
 // benchWirePool builds a started pool + wire server for benchmarks.
-func benchWirePool(b *testing.B, shards int, batchWait time.Duration) (string, func()) {
+func benchWirePool(b *testing.B, shards int) (string, func()) {
 	b.Helper()
-	p, err := New(Config{PEs: 64, Shards: shards, BatchWait: batchWait, QueueDepth: 256})
+	p, err := New(Config{PEs: 64, Shards: shards, QueueDepth: 256})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -582,7 +645,7 @@ func benchWirePool(b *testing.B, shards int, batchWait time.Duration) (string, f
 // BenchmarkWireServeSerial is the latency benchmark: one connection, one
 // request in flight — ns/op is the full client-observed round trip.
 func BenchmarkWireServeSerial(b *testing.B) {
-	addr, stop := benchWirePool(b, 1, 0)
+	addr, stop := benchWirePool(b, 1)
 	defer stop()
 	c, err := wire.Dial(addr, 5*time.Second)
 	if err != nil {
@@ -611,10 +674,9 @@ func BenchmarkWireServeSerial(b *testing.B) {
 }
 
 // BenchmarkWireServePipelined is the throughput benchmark: one connection
-// with a deep pipeline. BatchWait stays 0 — a pipelined burst batches
-// naturally off the queue, so an arming delay would only add latency.
+// with a deep pipeline: a pipelined burst batches naturally off the queue.
 func BenchmarkWireServePipelined(b *testing.B) {
-	addr, stop := benchWirePool(b, 2, 0)
+	addr, stop := benchWirePool(b, 2)
 	defer stop()
 	c, err := wire.Dial(addr, 5*time.Second)
 	if err != nil {
