@@ -395,6 +395,46 @@ func BenchmarkServeWireSampled(b *testing.B) {
 	}
 }
 
+// BenchmarkServePlan prices one served set plan in process, on
+// servebench's set-random shape: seeded 16-comm two-sided sets on N=64,
+// cycled so no two consecutive plans repeat. untraced runs with no tracer,
+// rate0 with cstserved's default tracer (sampling 0, ring only), and
+// audited with a live auditor on the tracer, which bills every plan.
+func BenchmarkServePlan(b *testing.B) {
+	rng := cst.NewRand(42)
+	sets := make([]*cst.Set, 256)
+	for i := range sets {
+		s, err := cst.RandomTwoSided(rng, 64, 16)
+		if err != nil {
+			b.Fatal(err)
+		}
+		sets[i] = s
+	}
+	for _, bc := range []struct {
+		name   string
+		tracer func() *cst.Tracer
+	}{
+		{"untraced", func() *cst.Tracer { return nil }},
+		{"rate0", func() *cst.Tracer { return cst.NewTracer(nil, 4096) }},
+		{"audited", func() *cst.Tracer {
+			tr := cst.NewTracer(nil, 4096)
+			tr.SetSink(cst.NewAuditor(cst.AuditConfig{}).Observe)
+			return tr
+		}},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			pl := cst.NewServePlanner(cst.ServePlannerConfig{Tracer: bc.tracer()})
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if res := pl.Plan(sets[i%len(sets)], 0, false); res.Status != 200 {
+					b.Fatalf("status %d (%s)", res.Status, res.Err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkBaselineDepthID measures the prior-work reconstruction on the
 // same workload.
 func BenchmarkBaselineDepthID(b *testing.B) {

@@ -33,7 +33,6 @@ import (
 	"cst/internal/power"
 	"cst/internal/sched"
 	"cst/internal/topology"
-	"cst/internal/xbar"
 )
 
 // Order selects how DepthID plays the depth levels.
@@ -199,14 +198,11 @@ func Greedy(t *topology.Tree, s *comm.Set, mode power.Mode) (*Result, error) {
 // power, and returns the verified-shape result (the caller still runs
 // sched.Verify in tests; execute only guards internal errors).
 func execute(name string, t *topology.Tree, s *comm.Set, rounds [][]comm.Comm, mode power.Mode, width int) (*Result, error) {
-	switches := map[topology.Node]*xbar.Switch{}
-	t.EachSwitch(func(n topology.Node) { switches[n] = xbar.NewSwitch() })
+	switches := circuit.NewSwitches(t)
 	configs := make([]deliver.RoundConfig, 0, len(rounds))
 	for _, round := range rounds {
 		if mode == power.Stateless {
-			for _, sw := range switches {
-				sw.Reset()
-			}
+			t.EachSwitch(func(n topology.Node) { switches[n].Reset() })
 		}
 		for _, c := range round {
 			if err := circuit.Configure(t, switches, c); err != nil {
@@ -220,7 +216,7 @@ func execute(name string, t *topology.Tree, s *comm.Set, rounds [][]comm.Comm, m
 	schedule := &sched.Schedule{Set: s.Clone(), Rounds: rounds}
 	return &Result{
 		Schedule: schedule,
-		Report:   power.Collect(name, mode, len(rounds), t, switches),
+		Report:   power.CollectSlice(name, mode, len(rounds), t, switches),
 		Rounds:   len(rounds),
 		Width:    width,
 		Configs:  configs,

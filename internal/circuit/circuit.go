@@ -21,10 +21,21 @@ func childSide(t *topology.Tree, child topology.Node) xbar.Side {
 	return xbar.R
 }
 
+// NewSwitches returns a fresh crossbar for every switch of t, in the layout
+// Configure takes: indexed by node, entry 0 unused, as padr's shared
+// crossbars are.
+func NewSwitches(t *topology.Tree) []*xbar.Switch {
+	xbars := make([]xbar.Switch, t.Leaves())
+	switches := make([]*xbar.Switch, t.Leaves())
+	t.EachSwitch(func(n topology.Node) { switches[n] = &xbars[n] })
+	return switches
+}
+
 // Configure establishes the circuit for one right-oriented communication:
 // child-side→parent connections up to the LCA, a left→right turn at the
 // LCA, and parent→child-side connections down to the destination leaf.
-func Configure(t *topology.Tree, switches map[topology.Node]*xbar.Switch, c comm.Comm) error {
+// switches is indexed by node (see NewSwitches).
+func Configure(t *topology.Tree, switches []*xbar.Switch, c comm.Comm) error {
 	if !c.RightOriented() {
 		return fmt.Errorf("circuit: %s is not right oriented", c)
 	}
@@ -36,7 +47,7 @@ func Configure(t *topology.Tree, switches map[topology.Node]*xbar.Switch, c comm
 // rounds need this — a residual coloring round can mix orientations, and
 // its circuits are billed on the same physical switches as the batch
 // phases.
-func ConfigureAny(t *topology.Tree, switches map[topology.Node]*xbar.Switch, c comm.Comm) error {
+func ConfigureAny(t *topology.Tree, switches []*xbar.Switch, c comm.Comm) error {
 	if c.Src == c.Dst {
 		return fmt.Errorf("circuit: %s is a self loop", c)
 	}
@@ -45,11 +56,10 @@ func ConfigureAny(t *topology.Tree, switches map[topology.Node]*xbar.Switch, c c
 	}
 	lca := t.LCA(c.Src, c.Dst)
 	connect := func(u topology.Node, in, out xbar.Side) error {
-		sw := switches[u]
-		if sw == nil {
+		if int(u) >= len(switches) || switches[u] == nil {
 			return fmt.Errorf("circuit: no switch at node %d", u)
 		}
-		return sw.Connect(in, out)
+		return switches[u].Connect(in, out)
 	}
 
 	// Upward leg: at every switch strictly below the LCA on the source
@@ -72,17 +82,13 @@ func ConfigureAny(t *topology.Tree, switches map[topology.Node]*xbar.Switch, c c
 		return fmt.Errorf("circuit: %s at lca %d: %v", c, lca, err)
 	}
 
-	// Downward leg: walk up from the destination leaf to collect the chain,
-	// then configure each switch to pass parent data toward the next child.
-	var chain []topology.Node
-	for child := t.Leaf(c.Dst); t.Parent(child) != lca; child = t.Parent(child) {
-		chain = append(chain, child)
-	}
-	// chain[i] hangs below chain[i+1]; the last element hangs below the
-	// switch that is the LCA's child on the destination side.
-	for i := len(chain) - 1; i >= 0; i-- {
-		u := t.Parent(chain[i])
-		if err := connect(u, xbar.P, childSide(t, chain[i])); err != nil {
+	// Downward leg, from the LCA's child toward the destination leaf: the
+	// node k levels above the leaf is dst>>k, and each switch passes parent
+	// data toward the child one level further down.
+	dst := t.Leaf(c.Dst)
+	for k := t.Depth(dst) - t.Depth(lca) - 1; k >= 1; k-- {
+		u, child := dst>>k, dst>>(k-1)
+		if err := connect(u, xbar.P, childSide(t, child)); err != nil {
 			return fmt.Errorf("circuit: %s at switch %d: %v", c, u, err)
 		}
 	}

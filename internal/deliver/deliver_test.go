@@ -12,13 +12,7 @@ import (
 	"cst/internal/xbar"
 )
 
-func switchSet(t *topology.Tree) map[topology.Node]*xbar.Switch {
-	m := map[topology.Node]*xbar.Switch{}
-	t.EachSwitch(func(n topology.Node) { m[n] = xbar.NewSwitch() })
-	return m
-}
-
-func snapshot(t *topology.Tree, switches map[topology.Node]*xbar.Switch) RoundConfig {
+func snapshot(t *topology.Tree, switches []*xbar.Switch) RoundConfig {
 	cfg := RoundConfig{}
 	t.EachSwitch(func(n topology.Node) { cfg[n] = switches[n].Config() })
 	return cfg
@@ -26,7 +20,7 @@ func snapshot(t *topology.Tree, switches map[topology.Node]*xbar.Switch) RoundCo
 
 func TestPropagateSingleCircuit(t *testing.T) {
 	tr := topology.MustNew(8)
-	switches := switchSet(tr)
+	switches := circuit.NewSwitches(tr)
 	c := comm.Comm{Src: 1, Dst: 6}
 	if err := circuit.Configure(tr, switches, c); err != nil {
 		t.Fatal(err)
@@ -44,7 +38,7 @@ func TestPropagateSingleCircuit(t *testing.T) {
 
 func TestPropagateParallelCircuits(t *testing.T) {
 	tr := topology.MustNew(16)
-	switches := switchSet(tr)
+	switches := circuit.NewSwitches(tr)
 	comms := []comm.Comm{{Src: 0, Dst: 3}, {Src: 4, Dst: 7}, {Src: 9, Dst: 14}}
 	for _, c := range comms {
 		if err := circuit.Configure(tr, switches, c); err != nil {
@@ -58,7 +52,7 @@ func TestPropagateParallelCircuits(t *testing.T) {
 
 func TestVerifyRoundDetectsMisdelivery(t *testing.T) {
 	tr := topology.MustNew(8)
-	switches := switchSet(tr)
+	switches := circuit.NewSwitches(tr)
 	// Configure the circuit for 1->6 but claim 1->5 was performed.
 	if err := circuit.Configure(tr, switches, comm.Comm{Src: 1, Dst: 6}); err != nil {
 		t.Fatal(err)

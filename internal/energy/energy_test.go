@@ -132,8 +132,7 @@ func alternatingPhases(t *testing.T, tr *topology.Tree, cycles int) (hold, drop 
 	phaseB := []comm.Comm{{Src: 32, Dst: 37}, {Src: 40, Dst: 45}} // right half
 
 	snapshot := func(sets ...[]comm.Comm) deliver.RoundConfig {
-		switches := map[topology.Node]*xbar.Switch{}
-		tr.EachSwitch(func(n topology.Node) { switches[n] = xbar.NewSwitch() })
+		switches := circuit.NewSwitches(tr)
 		for _, set := range sets {
 			for _, c := range set {
 				if err := circuit.Configure(tr, switches, c); err != nil {

@@ -20,9 +20,10 @@
 package general
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 
 	"cst/internal/comm"
 	"cst/internal/sched"
@@ -31,10 +32,15 @@ import (
 
 // ConflictGraph is an adjacency list over communication indices (into
 // Set.Comms): i and j are adjacent when their circuits share a directed
-// link.
+// link. A graph built from a set keeps the set and its width, so FirstFit,
+// Exact and induced subgraphs can reuse it instead of walking the paths
+// again.
 type ConflictGraph struct {
 	// Adj[i] lists the neighbours of communication i, ascending.
 	Adj [][]int
+
+	set   *comm.Set // vertex i is set.Comms[i]
+	width int       // the set's link width: Exact's clique lower bound
 }
 
 // Degree returns the number of conflicts of communication i.
@@ -71,39 +77,99 @@ func Conflicts(t *topology.Tree, s *comm.Set) (*ConflictGraph, error) {
 	if !s.IsRightOriented() {
 		return nil, fmt.Errorf("general: set must be right oriented (decompose two-sided sets first)")
 	}
-	// users[edge] lists the communications whose circuit uses that directed
-	// link; every pair within one list conflicts.
-	users := make([][]int, t.DirectedEdgeCount())
+	return Graph(t, s), nil
+}
+
+// Graph builds the conflict graph of a set that already passes the checks
+// Conflicts makes — right oriented, valid, on t's leaf count — such as a
+// comm.Decompose half of a validated set. It skips those checks, so a
+// planner validates its input once. The graph keeps s, which must not
+// change while the graph is in use.
+func Graph(t *topology.Tree, s *comm.Set) *ConflictGraph {
+	n := s.Len()
+	// links[off[i]:off[i+1]] are the directed links of circuit i. A valid
+	// set's endpoints are distinct PEs of t, so no walk can fail.
+	off := make([]int, n+1)
+	links := make([]int, 0, 2*t.Levels()*n)
 	for i, c := range s.Comms {
-		edges, err := t.PathEdges(c.Src, c.Dst)
-		if err != nil {
-			return nil, err
-		}
-		for _, e := range edges {
-			idx := t.EdgeIndex(e)
-			users[idx] = append(users[idx], i)
+		_ = t.EachPathEdge(c.Src, c.Dst, func(e topology.Edge) {
+			links = append(links, t.EdgeIndex(e))
+		})
+		off[i+1] = len(links)
+	}
+	// Counting sort by link: users[start[e]:start[e+1]] lists, ascending,
+	// the circuits using link e. The largest list is the set's width.
+	start := make([]int, t.DirectedEdgeCount()+2)
+	for _, e := range links {
+		start[e+2]++
+	}
+	width, pairs := 0, 0
+	for e := 2; e < len(start); e++ {
+		width = max(width, start[e])
+		pairs += start[e] * (start[e] - 1)
+		start[e] += start[e-1]
+	}
+	users := make([]int, len(links))
+	for i := 0; i < n; i++ {
+		for _, e := range links[off[i]:off[i+1]] {
+			users[start[e+1]] = i
+			start[e+1]++
 		}
 	}
-	adjSet := make([]map[int]bool, s.Len())
-	for i := range adjSet {
-		adjSet[i] = map[int]bool{}
+	// The neighbours of i are the other users of its links, each listed
+	// once: seen[j] == i+1 once j is. All lists share one backing array.
+	g := &ConflictGraph{Adj: make([][]int, n), set: s, width: width}
+	flat := make([]int, 0, min(pairs, n*(n-1)))
+	seen := make([]int, n)
+	for i := 0; i < n; i++ {
+		begin := len(flat)
+		for _, e := range links[off[i]:off[i+1]] {
+			for _, j := range users[start[e]:start[e+1]] {
+				if j != i && seen[j] != i+1 {
+					seen[j] = i + 1
+					flat = append(flat, j)
+				}
+			}
+		}
+		slices.Sort(flat[begin:])
+		g.Adj[i] = flat[begin:len(flat):len(flat)]
 	}
-	for _, list := range users {
-		for a := 0; a < len(list); a++ {
-			for b := a + 1; b < len(list); b++ {
-				adjSet[list[a]][list[b]] = true
-				adjSet[list[b]][list[a]] = true
+	return g
+}
+
+// Induced returns the conflict graph of the communications at the given
+// distinct indices of g's set: vertex k of the result is communication
+// keep[k]. Conflicts are pairwise, so the adjacency comes from g without
+// walking a circuit; only the subset's width, Exact's lower bound, is
+// recomputed on t. g must come from Conflicts, Graph or Induced.
+func (g *ConflictGraph) Induced(t *topology.Tree, keep []int) *ConflictGraph {
+	sub := &comm.Set{N: g.set.N, Comms: make([]comm.Comm, len(keep))}
+	pos := make([]int, len(g.Adj)) // pos[v] = k+1 when v = keep[k]
+	for k, v := range keep {
+		sub.Comms[k] = g.set.Comms[v]
+		pos[v] = k + 1
+	}
+	// Size each list first; visiting k in ascending order then appends to
+	// every list in ascending order.
+	deg := make([]int, len(keep))
+	for k, v := range keep {
+		for _, nb := range g.Adj[v] {
+			if pos[nb] > 0 {
+				deg[k]++
 			}
 		}
 	}
-	g := &ConflictGraph{Adj: make([][]int, s.Len())}
-	for i, set := range adjSet {
-		for j := range set {
-			g.Adj[i] = append(g.Adj[i], j)
+	adj := carve[int](deg)
+	for k, v := range keep {
+		for _, nb := range g.Adj[v] {
+			if p := pos[nb]; p > 0 {
+				adj[p-1] = append(adj[p-1], k)
+			}
 		}
-		sort.Ints(g.Adj[i])
 	}
-	return g, nil
+	// A subset of a valid set on t is valid on t: the walk cannot fail.
+	width, _ := sub.Width(t)
+	return &ConflictGraph{Adj: adj, set: sub, width: width}
 }
 
 // FirstFit schedules the set by scanning communications in left-to-right
@@ -115,13 +181,17 @@ func FirstFit(t *topology.Tree, s *comm.Set) (*sched.Schedule, error) {
 	if err != nil {
 		return nil, err
 	}
-	order := make([]int, s.Len())
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(a, b int) bool { return s.Comms[order[a]].Src < s.Comms[order[b]].Src })
-	colors := assignGreedy(g, order)
-	return scheduleFromColors(s, colors), nil
+	return g.FirstFit(), nil
+}
+
+// FirstFit is the package-level FirstFit on the graph's own set; g must
+// come from Conflicts, Graph or Induced.
+func (g *ConflictGraph) FirstFit() *sched.Schedule {
+	comms := g.set.Comms
+	order := identity(len(comms))
+	// Sources are distinct in a valid set, so the order is total.
+	slices.SortFunc(order, func(a, b int) int { return cmp.Compare(comms[a].Src, comms[b].Src) })
+	return scheduleFromColors(g.set, assignGreedy(g, order))
 }
 
 // Exact finds a minimum-round schedule by branch-and-bound chromatic
@@ -133,30 +203,29 @@ func Exact(t *topology.Tree, s *comm.Set, nodeBudget int) (*sched.Schedule, erro
 	if err != nil {
 		return nil, err
 	}
+	return g.Exact(nodeBudget)
+}
+
+// Exact is the package-level Exact on the graph's own set, bounded below
+// by the set's width; g must come from Conflicts, Graph or Induced.
+func (g *ConflictGraph) Exact(nodeBudget int) (*sched.Schedule, error) {
+	s := g.set
 	if s.Len() == 0 {
 		return &sched.Schedule{Set: s.Clone()}, nil
 	}
 	// Incumbent: greedy in descending-degree order (Welsh–Powell), often
 	// tighter than source order.
-	order := make([]int, s.Len())
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(a, b int) bool { return g.Degree(order[a]) > g.Degree(order[b]) })
+	order := identity(s.Len())
+	slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(g.Degree(b), g.Degree(a)) })
 	best := assignGreedy(g, order)
 	bestK := numColors(best)
-
-	width, err := s.Width(t)
-	if err != nil {
-		return nil, err
-	}
 
 	bb := &searcher{g: g, order: order, budget: nodeBudget}
 	cur := make([]int, s.Len())
 	for i := range cur {
 		cur[i] = -1
 	}
-	if improved, _ := bb.search(cur, 0, 0, bestK, width); improved != nil {
+	if improved, _ := bb.search(cur, 0, 0, bestK, g.width); improved != nil {
 		best = improved
 	}
 	schedule := scheduleFromColors(s, best)
@@ -164,6 +233,15 @@ func Exact(t *topology.Tree, s *comm.Set, nodeBudget int) (*sched.Schedule, erro
 		return schedule, ErrBudget
 	}
 	return schedule, nil
+}
+
+// identity returns 0, 1, ..., n-1.
+func identity(n int) []int {
+	order := make([]int, n)
+	for i := range order {
+		order[i] = i
+	}
+	return order
 }
 
 // ErrBudget reports that Exact ran out of search nodes; the schedule
@@ -261,15 +339,16 @@ func assignGreedy(g *ConflictGraph, order []int) []int {
 	for i := range colors {
 		colors[i] = -1
 	}
+	// taken[c] == v+1 while coloring v marks color c as a neighbour's.
+	taken := make([]int, len(g.Adj)+1)
 	for _, v := range order {
-		used := map[int]bool{}
 		for _, nb := range g.Adj[v] {
-			if colors[nb] >= 0 {
-				used[colors[nb]] = true
+			if c := colors[nb]; c >= 0 {
+				taken[c] = v + 1
 			}
 		}
 		c := 0
-		for used[c] {
+		for taken[c] == v+1 {
 			c++
 		}
 		colors[v] = c
@@ -289,10 +368,28 @@ func numColors(colors []int) int {
 
 // scheduleFromColors groups communications by color into rounds.
 func scheduleFromColors(s *comm.Set, colors []int) *sched.Schedule {
-	k := numColors(colors)
-	rounds := make([][]comm.Comm, k)
+	sizes := make([]int, numColors(colors))
+	for _, c := range colors {
+		sizes[c]++
+	}
+	rounds := carve[comm.Comm](sizes)
 	for i, c := range colors {
 		rounds[c] = append(rounds[c], s.Comms[i])
 	}
 	return &sched.Schedule{Set: s.Clone(), Rounds: rounds}
+}
+
+// carve returns empty slices with capacities sizes, all cut from one
+// backing array, so filling them by append allocates nothing more.
+func carve[T any](sizes []int) [][]T {
+	total := 0
+	for _, k := range sizes {
+		total += k
+	}
+	flat := make([]T, total)
+	out := make([][]T, len(sizes))
+	for i, k := range sizes {
+		out[i], flat = flat[:0:k], flat[k:]
+	}
+	return out
 }

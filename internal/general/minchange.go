@@ -161,8 +161,7 @@ func (m *minChangeSearch) dfs(i int) {
 // round by round over held crossbars, changes counted by the minimal-work
 // trajectory realization.
 func (m *minChangeSearch) evaluate() (changes, maxPerSwitch int) {
-	switches := map[topology.Node]*xbar.Switch{}
-	m.t.EachSwitch(func(n topology.Node) { switches[n] = xbar.NewSwitch() })
+	switches := circuit.NewSwitches(m.t)
 	configs := make([]deliver.RoundConfig, m.width)
 	for r := 0; r < m.width; r++ {
 		for i, round := range m.assign {

@@ -10,7 +10,6 @@ import (
 	"cst/internal/energy"
 	"cst/internal/padr"
 	"cst/internal/topology"
-	"cst/internal/xbar"
 )
 
 func TestMinChangeRejectsBadInput(t *testing.T) {
@@ -126,8 +125,7 @@ func TestMinChangeRandomUpperBounds(t *testing.T) {
 // configuring it on fresh switches.
 func connectionsOf(t *testing.T, tr *topology.Tree, c comm.Comm) [][3]int {
 	t.Helper()
-	switches := map[topology.Node]*xbar.Switch{}
-	tr.EachSwitch(func(n topology.Node) { switches[n] = xbar.NewSwitch() })
+	switches := circuit.NewSwitches(tr)
 	if err := circuit.Configure(tr, switches, c); err != nil {
 		t.Fatal(err)
 	}

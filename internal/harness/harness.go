@@ -30,7 +30,6 @@ import (
 	"cst/internal/stats"
 	"cst/internal/timing"
 	"cst/internal/topology"
-	"cst/internal/xbar"
 )
 
 // Config tunes an experiment run.
@@ -609,8 +608,7 @@ func runE10(w io.Writer, cfg Config) error {
 	phaseA := []comm.Comm{{Src: 0, Dst: 5}, {Src: 8, Dst: 13}, {Src: 16, Dst: 21}}
 	phaseB := []comm.Comm{{Src: 32, Dst: 37}, {Src: 40, Dst: 45}, {Src: 48, Dst: 53}}
 	snapshot := func(sets ...[]comm.Comm) (deliver.RoundConfig, error) {
-		switches := map[topology.Node]*xbar.Switch{}
-		tr.EachSwitch(func(nd topology.Node) { switches[nd] = xbar.NewSwitch() })
+		switches := circuit.NewSwitches(tr)
 		for _, set := range sets {
 			for _, c := range set {
 				if err := circuit.Configure(tr, switches, c); err != nil {
@@ -830,8 +828,7 @@ func runE13(w io.Writer, cfg Config) error {
 	phaseA := []comm.Comm{{Src: 0, Dst: 5}, {Src: 8, Dst: 13}}
 	phaseB := []comm.Comm{{Src: 32, Dst: 37}, {Src: 40, Dst: 45}}
 	snapshot := func(sets ...[]comm.Comm) (deliver.RoundConfig, error) {
-		switches := map[topology.Node]*xbar.Switch{}
-		tr.EachSwitch(func(nd topology.Node) { switches[nd] = xbar.NewSwitch() })
+		switches := circuit.NewSwitches(tr)
 		for _, set := range sets {
 			for _, c := range set {
 				if err := circuit.Configure(tr, switches, c); err != nil {

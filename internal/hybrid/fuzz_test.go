@@ -11,7 +11,8 @@ import (
 // endpoints. Invalid sets (role clashes, self loops) must be rejected with
 // an error; every accepted set must yield a composite schedule that
 // verifies against the topology and books each PE into at most one
-// communication per round.
+// communication per round, with the set's width and the FirstFit
+// comparator that general.FirstFit computes on each Decompose half.
 func FuzzHybridSchedule(f *testing.F) {
 	f.Add([]byte{0, 5, 3, 8, 12, 6, 14, 9}, uint8(1))
 	f.Add([]byte{0, 8, 1, 9, 2, 10, 3, 11}, uint8(2))
@@ -42,6 +43,15 @@ func FuzzHybridSchedule(f *testing.F) {
 		}
 		if plan.Rounds > plan.Bound {
 			t.Fatalf("set %v: %d rounds exceed bound %d", s.Comms, plan.Rounds, plan.Bound)
+		}
+		// The planner colors each half on one shared conflict graph; the
+		// exported, validating entry points must agree with it.
+		if w, err := s.Width(tree); err != nil || plan.Width != w {
+			t.Fatalf("set %v: plan width %d, set width %d (%v)", s.Comms, plan.Width, w, err)
+		}
+		if ff := ffComposite(t, tree, s); plan.FirstFitRounds != ff {
+			t.Fatalf("set %v: plan FirstFit comparator %d, general.FirstFit on the halves %d",
+				s.Comms, plan.FirstFitRounds, ff)
 		}
 		// No PE double-booking: within one round every PE appears in at
 		// most one communication, in either role. (Verify checks link

@@ -15,18 +15,22 @@
 //  2. Peel up to MaxBatches maximal well-nested batches per orientation
 //     (FIFO in source order, crossing comms deferred) and schedule each
 //     through padr — the engine the paper proves round-optimal.
-//  3. Color the residual (the crossing leftovers) with general.FirstFit
-//     and general.Exact, keeping the better coloring; the Exact incumbent
-//     is used even on budget exhaustion.
+//  3. Color the residual (the crossing leftovers) with FirstFit and Exact
+//     from internal/general, keeping the better coloring; the Exact
+//     incumbent is used even on budget exhaustion.
 //  4. Map mirrored schedules back with sched.UnmirrorSchedule and
 //     concatenate the phases with round offsets: right batches, left
-//     batches, then the residual rounds last. Opposite orientations share
-//     upward tree links, so phases never merge round-for-round.
-//  5. Compare against a pure-coloring plan of the whole set and keep
+//     batches, then the residual rounds last. The orientations are planned
+//     apart, so no round holds both even where links would allow it:
+//     {0→8, 12→4} on N=64 has width 1 and gets 2 rounds (ROADMAP item 4
+//     plans both orientations together).
+//  5. Compare against a pure-coloring plan of each half whole and keep
 //     whichever needs fewer rounds. This guarantees the composite never
 //     exceeds the FirstFit round count, while well-nested-heavy inputs get
 //     the circuit engine's optimal rounds.
 //
+// Each half's conflict graph is built once; the residual's graph is its
+// induced subgraph, and FirstFit, Exact and the comparator all share them.
 // The chosen plan is replayed circuit-by-circuit on one set of physical
 // switches (circuit.ConfigureAny — residual rounds mix orientations) for
 // the composite power bill, and traced as Engine "hybrid" so
@@ -35,7 +39,9 @@
 package hybrid
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"time"
 
 	"cst/internal/circuit"
@@ -186,8 +192,20 @@ func Schedule(t *topology.Tree, s *comm.Set, opts ...Option) (*Plan, error) {
 		return nil, err
 	}
 
+	// The halves of a validated set are valid and right oriented, so their
+	// conflict graphs are built without checking them again.
 	stageStart := time.Now()
 	right, leftMirrored := comm.Decompose(s)
+	halves := [2]struct {
+		set      *comm.Set
+		graph    *general.ConflictGraph
+		mirrored bool
+	}{{set: right}, {set: leftMirrored, mirrored: true}}
+	for i := range halves {
+		if halves[i].set.Len() > 0 {
+			halves[i].graph = general.Graph(t, halves[i].set)
+		}
+	}
 	stageSpan(&cfg, "hybrid.decompose", stageStart, s.Len())
 
 	// Peel strategy: padr batches plus colored residual, phases in order
@@ -197,10 +215,7 @@ func Schedule(t *topology.Tree, s *comm.Set, opts ...Option) (*Plan, error) {
 	stageStart = time.Now()
 	var peelRounds [][]comm.Comm
 	var residualRounds [][]comm.Comm
-	for _, half := range []struct {
-		set      *comm.Set
-		mirrored bool
-	}{{right, false}, {leftMirrored, true}} {
+	for _, half := range halves {
 		batches, residual := peel(half.set, cfg.maxBatches)
 		for _, b := range batches {
 			eng, err := padr.New(t, b, padr.WithMode(cfg.mode))
@@ -219,8 +234,8 @@ func Schedule(t *topology.Tree, s *comm.Set, opts ...Option) (*Plan, error) {
 			plan.Batches++
 			plan.BatchRounds += res.Rounds
 		}
-		if residual.Len() > 0 {
-			rs, exhausted, err := colorBest(t, residual, cfg.exactBudget)
+		if len(residual) > 0 {
+			rs, _, exhausted, err := colorBest(half.graph.Induced(t, residual), cfg.exactBudget)
 			if err != nil {
 				return nil, err
 			}
@@ -228,7 +243,7 @@ func Schedule(t *topology.Tree, s *comm.Set, opts ...Option) (*Plan, error) {
 				rs = sched.UnmirrorSchedule(rs)
 			}
 			residualRounds = append(residualRounds, rs.Rounds...)
-			plan.ResidualComms += residual.Len()
+			plan.ResidualComms += len(residual)
 			plan.Exhausted = plan.Exhausted || exhausted
 		}
 	}
@@ -243,22 +258,15 @@ func Schedule(t *topology.Tree, s *comm.Set, opts ...Option) (*Plan, error) {
 	stageStart = time.Now()
 	var colorRounds [][]comm.Comm
 	colorExhausted := false
-	for _, half := range []struct {
-		set      *comm.Set
-		mirrored bool
-	}{{right, false}, {leftMirrored, true}} {
+	for _, half := range halves {
 		if half.set.Len() == 0 {
 			continue
 		}
-		ff, err := general.FirstFit(t, half.set)
+		cs, ffRounds, exhausted, err := colorBest(half.graph, cfg.exactBudget)
 		if err != nil {
 			return nil, err
 		}
-		plan.FirstFitRounds += ff.NumRounds()
-		cs, exhausted, err := colorBest(t, half.set, cfg.exactBudget)
-		if err != nil {
-			return nil, err
-		}
+		plan.FirstFitRounds += ffRounds
 		if half.mirrored {
 			cs = sched.UnmirrorSchedule(cs)
 		}
@@ -292,36 +300,42 @@ func Schedule(t *topology.Tree, s *comm.Set, opts ...Option) (*Plan, error) {
 	return plan, nil
 }
 
-// colorBest colors a right-oriented (possibly crossing) set with FirstFit
-// and budget-bounded Exact, returning whichever schedule uses fewer
-// rounds. The Exact incumbent is kept on budget exhaustion — dropping it
-// was the bug this package's residual path regression-tests against.
-func colorBest(t *topology.Tree, s *comm.Set, budget int) (*sched.Schedule, bool, error) {
-	ff, err := general.FirstFit(t, s)
+// colorBest colors a conflict graph's (possibly crossing) right-oriented
+// set with FirstFit and budget-bounded Exact, returning whichever schedule
+// uses fewer rounds and FirstFit's round count. The Exact incumbent is
+// kept on budget exhaustion — dropping it was the bug this package's
+// residual path regression-tests against.
+func colorBest(g *general.ConflictGraph, budget int) (best *sched.Schedule, firstFit int, exhausted bool, err error) {
+	ff := g.FirstFit()
+	ex, exhausted, err := general.Incumbent(g.Exact(budget))
 	if err != nil {
-		return nil, false, err
-	}
-	ex, exhausted, err := general.Incumbent(general.Exact(t, s, budget))
-	if err != nil {
-		return nil, false, err
+		return nil, 0, false, err
 	}
 	if ex.NumRounds() < ff.NumRounds() {
-		return ex, exhausted, nil
+		return ex, ff.NumRounds(), exhausted, nil
 	}
-	return ff, exhausted, nil
+	return ff, ff.NumRounds(), exhausted, nil
 }
 
 // peel splits a valid right-oriented set into up to maxBatches well-nested
-// batches plus the residual. Each batch is built FIFO in source order: a
-// communication joins unless it crosses one already accepted, so every
-// batch is maximal among the communications it saw. Subsets of a valid
-// right-oriented set with no crossing pair are exactly the well-nested
-// sets, so each batch feeds padr directly.
-func peel(s *comm.Set, maxBatches int) (batches []*comm.Set, residual *comm.Set) {
-	remaining := s.Sorted()
+// batches plus the residual, given as indices into s.Comms in source
+// order. Each batch is built FIFO in source order: a communication joins
+// unless it crosses one already accepted, so every batch is maximal among
+// the communications it saw. Subsets of a valid right-oriented set with
+// no crossing pair are exactly the well-nested sets, so each batch feeds
+// padr directly.
+func peel(s *comm.Set, maxBatches int) (batches []*comm.Set, residual []int) {
+	remaining := make([]int, s.Len())
+	for i := range remaining {
+		remaining[i] = i
+	}
+	// Sources are distinct in a valid set, so the order is total.
+	slices.SortFunc(remaining, func(a, b int) int { return cmp.Compare(s.Comms[a].Src, s.Comms[b].Src) })
 	for len(remaining) > 0 && len(batches) < maxBatches {
-		var batch, rest []comm.Comm
-		for _, c := range remaining {
+		batch := make([]comm.Comm, 0, len(remaining))
+		var rest []int
+		for _, i := range remaining {
+			c := s.Comms[i]
 			crosses := false
 			for _, b := range batch {
 				if c.Crosses(b) {
@@ -330,7 +344,7 @@ func peel(s *comm.Set, maxBatches int) (batches []*comm.Set, residual *comm.Set)
 				}
 			}
 			if crosses {
-				rest = append(rest, c)
+				rest = append(rest, i)
 			} else {
 				batch = append(batch, c)
 			}
@@ -338,7 +352,7 @@ func peel(s *comm.Set, maxBatches int) (batches []*comm.Set, residual *comm.Set)
 		batches = append(batches, &comm.Set{N: s.N, Comms: batch})
 		remaining = rest
 	}
-	return batches, &comm.Set{N: s.N, Comms: remaining}
+	return batches, remaining
 }
 
 // replay executes the chosen composite schedule circuit-by-circuit on one
@@ -348,8 +362,7 @@ func peel(s *comm.Set, maxBatches int) (batches []*comm.Set, residual *comm.Set)
 // carries Bound in the Width field: the audit monitor checks the traced
 // round count against it.
 func replay(t *topology.Tree, plan *Plan, cfg config) *power.Report {
-	switches := map[topology.Node]*xbar.Switch{}
-	t.EachSwitch(func(n topology.Node) { switches[n] = xbar.NewSwitch() })
+	switches := circuit.NewSwitches(t)
 	tr := cfg.tracer
 	trace := ""
 	if cfg.span.Valid() {
@@ -360,9 +373,9 @@ func replay(t *topology.Tree, plan *Plan, cfg config) *power.Report {
 		tr.Emit(obs.Event{Type: "run.start", Engine: Engine, Round: -1,
 			N: plan.Schedule.Set.Len(), Mode: cfg.mode.String(), Trace: trace})
 	}
-	var before map[topology.Node]xbar.Config
+	var before []xbar.Config
 	if tr != nil {
-		before = make(map[topology.Node]xbar.Config, len(switches))
+		before = make([]xbar.Config, len(switches))
 	}
 	for i, round := range plan.Schedule.Rounds {
 		roundStart := time.Now()
@@ -370,16 +383,12 @@ func replay(t *topology.Tree, plan *Plan, cfg config) *power.Report {
 			tr.Emit(obs.Event{Type: "round.start", Engine: Engine, Round: i})
 		}
 		if cfg.mode == power.Stateless {
-			for _, sw := range switches {
-				sw.Reset()
-			}
+			t.EachSwitch(func(n topology.Node) { switches[n].Reset() })
 		}
 		if tr != nil {
 			// Snapshot after the stateless teardown, like padr: every
 			// re-established circuit is a traced (and billed) change.
-			for n, sw := range switches {
-				before[n] = sw.Config()
-			}
+			t.EachSwitch(func(n topology.Node) { before[n] = switches[n].Config() })
 		}
 		for _, c := range round {
 			// The schedule was verified above; a configuration failure here
@@ -401,7 +410,7 @@ func replay(t *topology.Tree, plan *Plan, cfg config) *power.Report {
 				N: len(round), DurNS: time.Since(roundStart).Nanoseconds()})
 		}
 	}
-	report := power.Collect(Engine, cfg.mode, plan.Rounds, t, switches)
+	report := power.CollectSlice(Engine, cfg.mode, plan.Rounds, t, switches)
 	if tr != nil {
 		tr.Emit(obs.Event{Type: "run.done", Engine: Engine, Round: -1,
 			N: plan.Rounds, Width: plan.Bound,

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -241,6 +242,46 @@ func TestTracerSink(t *testing.T) {
 	var nilTr *Tracer
 	nilTr.SetSink(func(Event) { t.Error("sink on nil tracer fired") })
 	nilTr.Emit(Event{Type: "x"})
+}
+
+// Streaming is true exactly while a sink or a writer consumes events, and
+// it may be read while another goroutine swaps the sink (run with -race).
+func TestTracerStreaming(t *testing.T) {
+	var nilTr *Tracer
+	if nilTr.Streaming() || NewTracer(nil, 8).Streaming() {
+		t.Fatal("nil or ring-only tracer reports streaming")
+	}
+	if !NewTracer(&strings.Builder{}, 8).Streaming() {
+		t.Fatal("tracer with a writer reports no streaming")
+	}
+	tr := NewTracer(nil, 8)
+	tr.SetSink(func(Event) {})
+	if !tr.Streaming() {
+		t.Fatal("tracer with a sink reports no streaming")
+	}
+	tr.SetSink(nil)
+	if tr.Streaming() {
+		t.Fatal("detached sink still reports streaming")
+	}
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 1000; i++ {
+			tr.SetSink(func(Event) {})
+			tr.SetSink(nil)
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 1000; i++ {
+			_ = tr.Streaming()
+		}
+	}()
+	wg.Wait()
+	if tr.Streaming() {
+		t.Fatal("sink detached last, tracer still reports streaming")
+	}
 }
 
 // The /trace endpoint must speak NDJSON, honor ?since=, reject garbage

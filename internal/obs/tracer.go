@@ -80,8 +80,10 @@ type Tracer struct {
 	// /metrics instead of silent.
 	evictedC *Counter
 	// sink, when set, receives every event synchronously after sequence
-	// assignment — the live tap the audit layer consumes.
-	sink func(Event)
+	// assignment — the live tap the audit layer consumes. hasSink mirrors
+	// sink != nil for Streaming, which reads it without the lock.
+	sink    func(Event)
+	hasSink atomic.Bool
 
 	// Span-tracing state (see span.go). sampleTh is the head-sampling
 	// threshold over the full uint64 range (0 = never, MaxUint64 = always);
@@ -158,6 +160,15 @@ func (t *Tracer) SetSink(fn func(Event)) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.sink = fn
+	t.hasSink.Store(fn != nil)
+}
+
+// Streaming reports whether emitted events reach a consumer beyond the
+// ring: a sink installed with SetSink, or the writer given to NewTracer.
+// A caller may skip events that only the ring would hold. It takes no
+// lock (the writer is fixed at construction); a nil Tracer reports false.
+func (t *Tracer) Streaming() bool {
+	return t != nil && (t.w != nil || t.hasSink.Load())
 }
 
 // Instrument publishes the tracer's ring-eviction count to r as

@@ -69,8 +69,10 @@ func (s *Schedule) String() string {
 // onto the reflected switches edge for edge). The input is not modified.
 func UnmirrorSchedule(s *Schedule) *Schedule {
 	out := &Schedule{Set: s.Set.Mirror(), Rounds: make([][]comm.Comm, len(s.Rounds))}
+	flat := make([]comm.Comm, s.TotalScheduled())
 	for i, r := range s.Rounds {
-		round := make([]comm.Comm, len(r))
+		round := flat[:len(r):len(r)]
+		flat = flat[len(r):]
 		for j, c := range r {
 			round[j] = comm.Comm{Src: s.Set.N - 1 - c.Src, Dst: s.Set.N - 1 - c.Dst}
 		}
@@ -115,16 +117,23 @@ func (s *Schedule) Verify(t *topology.Tree) error {
 			if seen[c] > 1 {
 				return fmt.Errorf("sched: communication %s scheduled more than once (again in round %d)", c, i)
 			}
-			edges, err := t.PathEdges(c.Src, c.Dst)
+			// Report the first reused link in source-to-destination order.
+			// EachPathEdge walks the down leg from the leaf up, so a later
+			// reuse on that leg lies earlier on the path.
+			var reused topology.Edge
+			clash := false
+			err := t.EachPathEdge(c.Src, c.Dst, func(e topology.Edge) {
+				idx := t.EdgeIndex(e)
+				congestion[idx]++
+				if congestion[idx] > 1 && (!clash || reused.Dir == topology.Down) {
+					reused, clash = e, true
+				}
+			})
 			if err != nil {
 				return fmt.Errorf("sched: round %d: %v", i, err)
 			}
-			for _, e := range edges {
-				idx := t.EdgeIndex(e)
-				congestion[idx]++
-				if congestion[idx] > 1 {
-					return fmt.Errorf("sched: round %d is incompatible: link %s used twice (by %s among others)", i, e, c)
-				}
+			if clash {
+				return fmt.Errorf("sched: round %d is incompatible: link %s used twice (by %s among others)", i, reused, c)
 			}
 		}
 	}

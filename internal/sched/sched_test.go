@@ -135,6 +135,51 @@ func TestVerifyRejectsIncompatibleRound(t *testing.T) {
 	}
 }
 
+// Verify names the first reused link in source-to-destination order, the
+// order PathEdges lists: on random sets crammed into one round, its error
+// matches a reference walk over PathEdges word for word.
+func TestVerifyNamesFirstReusedLink(t *testing.T) {
+	tr := topology.MustNew(64)
+	rng := rand.New(rand.NewSource(5))
+	clashes := 0
+	for trial := 0; trial < 300; trial++ {
+		s, err := comm.RandomTwoSided(rng, 64, 2+rng.Intn(20))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := ""
+		used := make(map[topology.Edge]bool)
+	walk:
+		for _, c := range s.Comms {
+			edges, err := tr.PathEdges(c.Src, c.Dst)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, e := range edges {
+				if used[e] {
+					want = "sched: round 0 is incompatible: link " + e.String() + " used twice (by " + c.String() + " among others)"
+					break walk
+				}
+				used[e] = true
+			}
+		}
+		err = (&Schedule{Set: s, Rounds: [][]comm.Comm{s.Comms}}).Verify(tr)
+		if want == "" {
+			if err != nil {
+				t.Fatalf("set %v: compatible round rejected: %v", s.Comms, err)
+			}
+			continue
+		}
+		clashes++
+		if err == nil || err.Error() != want {
+			t.Fatalf("set %v: got %v, want %s", s.Comms, err, want)
+		}
+	}
+	if clashes == 0 {
+		t.Fatal("no trial reused a link")
+	}
+}
+
 func TestVerifyRejectsMissingComm(t *testing.T) {
 	s := set(t, "(())")
 	tr := topology.MustNew(4)

@@ -53,8 +53,10 @@ type PlannerConfig struct {
 	// Registry receives the cst_hybrid_* series; nil leaves the planner
 	// uninstrumented.
 	Registry *obs.Registry
-	// Tracer receives the hybrid replay trace (and through it the audit
-	// pipeline); nil no-ops.
+	// Tracer receives the hybrid stage spans of sampled plans, and the
+	// hybrid replay events of sampled plans or of every plan when the
+	// tracer streams to a sink or writer (the audit pipeline, a trace
+	// file); nil no-ops.
 	Tracer *obs.Tracer
 }
 
@@ -66,6 +68,7 @@ type plannerMetrics struct {
 	planned  *obs.Counter
 	failed   *obs.Counter
 	units    *obs.Counter
+	trees    *obs.Gauge
 	rounds   *obs.Histogram
 	seconds  *obs.Histogram
 	proto    [protoCount]plannerProtoMetrics
@@ -82,6 +85,7 @@ func newPlannerMetrics(r *obs.Registry) plannerMetrics {
 		planned:  r.Counter("cst_hybrid_planned_total", "set scheduling requests planned"),
 		failed:   r.Counter("cst_hybrid_failed_total", "set scheduling requests refused or failed"),
 		units:    r.Counter("cst_hybrid_units_total", "power units billed across planned sets"),
+		trees:    r.Gauge("cst_hybrid_cached_trees", "topology trees cached by the set planner, one per planned n"),
 		rounds:   r.Histogram("cst_hybrid_rounds", "composite rounds per planned set", obs.ExponentialBuckets(1, 2, 10)),
 		seconds:  r.Histogram("cst_hybrid_plan_seconds", "wall-clock planning latency", obs.ExponentialBuckets(0.0001, 2, 16)),
 	}
@@ -208,11 +212,18 @@ func (p *Planner) plan(s *comm.Set, proto uint8, includeRounds bool, sctx obs.Sp
 		}
 		tree = t
 		p.trees[s.N] = tree
+		p.met.trees.Set(int64(len(p.trees)))
+	}
+	// Engine events cost a JSON encoding each, so an unsampled plan emits
+	// them only when a consumer beyond the ring reads every event.
+	var engineTracer *obs.Tracer
+	if planCtx.Valid() || p.cfg.Tracer.Streaming() {
+		engineTracer = p.cfg.Tracer
 	}
 	plan, err := hybrid.Schedule(tree, s,
 		hybrid.WithExactBudget(p.cfg.ExactBudget),
 		hybrid.WithMaxBatches(p.cfg.MaxBatches),
-		hybrid.WithTracer(p.cfg.Tracer),
+		hybrid.WithTracer(engineTracer),
 		hybrid.WithSpanContext(planCtx))
 	p.mu.Unlock()
 	if err != nil {

@@ -9,13 +9,11 @@ import (
 	"cst/internal/deliver"
 	"cst/internal/padr"
 	"cst/internal/topology"
-	"cst/internal/xbar"
 )
 
 func snapshot(t *testing.T, tr *topology.Tree, sets ...[]comm.Comm) deliver.RoundConfig {
 	t.Helper()
-	switches := map[topology.Node]*xbar.Switch{}
-	tr.EachSwitch(func(n topology.Node) { switches[n] = xbar.NewSwitch() })
+	switches := circuit.NewSwitches(tr)
 	for _, set := range sets {
 		for _, c := range set {
 			if err := circuit.Configure(tr, switches, c); err != nil {

@@ -25,6 +25,16 @@ func FuzzDecodeFrame(f *testing.F) {
 		Trace: 5, Span: 2, Flags: FlagSampled}, Version); err == nil {
 		f.Add(sr)
 	}
+	// Set requests at the planner's PE cap and one past it: 16,384 is
+	// serve.MaxPlanPEs, written out because wire cannot import serve.
+	for _, n := range []int{16384, 16385} {
+		sr, err := AppendSetRequestV(nil, &SetRequest{ID: 6, N: n,
+			Pairs: [][2]int{{0, n - 1}, {n - 2, 1}}}, Version)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(sr)
+	}
 	f.Add(AppendSetResponseV(nil, &SetResponse{ID: 2, Status: 200, Rounds: 3,
 		Bound: 4, Width: 2, Batches: 1, Residual: 1, Units: 17, Strategy: StrategyPeel, Trace: 9}, Version))
 	f.Add(AppendSetResponseV(nil, &SetResponse{ID: 5, Status: 400, Err: "bad set"}, Version))
