@@ -1,5 +1,5 @@
 // Command cstbench regenerates the paper-reproduction experiments (DESIGN.md
-// §3, E1–E9) and prints the markdown tables recorded in EXPERIMENTS.md.
+// §3, E1–E16) and prints the markdown tables recorded in EXPERIMENTS.md.
 //
 // Every run is instrumented: engines publish their metric series to one
 // long-lived registry and a per-experiment summary table (latency
@@ -25,25 +25,49 @@ import (
 	"cst"
 )
 
-func main() {
-	var (
-		exp       = flag.String("exp", "all", "comma-separated experiment IDs (E1..E9) or \"all\"")
-		seed      = flag.Int64("seed", 42, "random seed for every experiment")
-		quick     = flag.Bool("quick", false, "reduced sweep sizes")
-		out       = flag.String("out", "", "output file (default stdout)")
-		maddr     = flag.String("metrics-addr", "", "serve /metrics, /trace and /debug/pprof/ on this address during the run")
-		summary   = flag.Bool("metrics-summary", true, "print a per-experiment metrics summary table")
-		audit     = flag.Bool("audit", false, "run the power auditor live over the experiments and print its verdict")
-		auditHTML = flag.String("audit-html", "", "write the audit report as HTML to this file (implies -audit)")
-	)
-	flag.Parse()
+type options struct {
+	exp, out, metricsAddr, auditHTML string
+	seed                             int64
+	quick, summary, audit            bool
+}
 
-	var w io.Writer = os.Stdout
-	if *out != "" {
-		f, err := os.Create(*out)
+func parseFlags(args []string) (options, error) {
+	fs := flag.NewFlagSet("cstbench", flag.ContinueOnError)
+	o := options{}
+	fs.StringVar(&o.exp, "exp", "all", "comma-separated experiment IDs (E1..E16) or \"all\"")
+	fs.Int64Var(&o.seed, "seed", 42, "random seed for every experiment")
+	fs.BoolVar(&o.quick, "quick", false, "reduced sweep sizes")
+	fs.StringVar(&o.out, "out", "", "output file (default stdout)")
+	fs.StringVar(&o.metricsAddr, "metrics-addr", "", "serve /metrics, /trace and /debug/pprof/ on this address during the run")
+	fs.BoolVar(&o.summary, "metrics-summary", true, "print a per-experiment metrics summary table")
+	fs.BoolVar(&o.audit, "audit", false, "run the power auditor live over the experiments and print its verdict")
+	fs.StringVar(&o.auditHTML, "audit-html", "", "write the audit report as HTML to this file (implies -audit)")
+	err := fs.Parse(args)
+	return o, err
+}
+
+func main() {
+	o, err := parseFlags(os.Args[1:])
+	if err != nil {
+		if err == flag.ErrHelp {
+			return
+		}
+		os.Exit(2) // the flag set has printed the error and usage
+	}
+	if err := run(o, os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, "cstbench:", err)
+		os.Exit(1)
+	}
+}
+
+// run executes the selected experiments, writing the report to stdout or
+// -out.
+func run(o options, stdout io.Writer) error {
+	w := stdout
+	if o.out != "" {
+		f, err := os.Create(o.out)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "cstbench:", err)
-			os.Exit(1)
+			return err
 		}
 		defer f.Close()
 		w = f
@@ -51,25 +75,24 @@ func main() {
 
 	reg := cst.NewMetrics()
 	tracer := cst.NewTracer(nil, 0)
-	cfg := cst.ExperimentConfig{Seed: *seed, Quick: *quick, Obs: reg, Trace: tracer}
+	cfg := cst.ExperimentConfig{Seed: o.seed, Quick: o.quick, Obs: reg, Trace: tracer}
 	var auditor *cst.Auditor
-	if *audit || *auditHTML != "" {
+	if o.audit || o.auditHTML != "" {
 		auditor = cst.NewAuditor(cst.AuditConfig{Registry: reg})
 		cfg.Audit = auditor
 	}
-	if *maddr != "" {
-		srv, err := cst.ServeMetrics(*maddr, reg, tracer)
+	if o.metricsAddr != "" {
+		srv, err := cst.ServeMetrics(o.metricsAddr, reg, tracer)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "cstbench:", err)
-			os.Exit(1)
+			return err
 		}
 		defer srv.Close()
 		fmt.Fprintf(os.Stderr, "cstbench: observability endpoint on http://%s (/metrics /trace /debug/pprof/)\n", srv.Addr)
 	}
-	fmt.Fprintf(w, "# CST/PADR reproduction experiments (seed=%d quick=%v)\n\n", *seed, *quick)
+	fmt.Fprintf(w, "# CST/PADR reproduction experiments (seed=%d quick=%v)\n\n", o.seed, o.quick)
 
-	ids := strings.Split(*exp, ",")
-	if *exp == "all" {
+	ids := strings.Split(o.exp, ",")
+	if o.exp == "all" {
 		ids = nil
 		for _, e := range cst.Experiments() {
 			ids = append(ids, e.ID)
@@ -79,45 +102,41 @@ func main() {
 		id = strings.TrimSpace(id)
 		e, ok := cst.ExperimentByID(id)
 		if !ok {
-			fmt.Fprintf(os.Stderr, "cstbench: unknown experiment %q\n", id)
-			os.Exit(1)
+			return fmt.Errorf("unknown experiment %q", id)
 		}
 		// Snapshot before/after so each experiment's table reflects only
 		// its own activity while the live registry keeps accumulating.
 		before := reg.Snapshot()
 		if err := cst.RunExperiment(w, e, cfg); err != nil {
-			fmt.Fprintln(os.Stderr, "cstbench:", err)
-			os.Exit(1)
+			return err
 		}
-		if *summary {
+		if o.summary {
 			fmt.Fprintf(w, "Engine metrics for %s:\n\n%s\n", e.ID, cst.MetricsSummary(reg.Snapshot().Sub(before)))
 		}
 	}
 
-	if auditor != nil {
-		auditor.Flush()
-		rep := auditor.Report()
-		fmt.Fprintf(w, "## Power audit\n\n%s\n", rep.Summary())
-		if *auditHTML != "" {
-			f, err := os.Create(*auditHTML)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "cstbench:", err)
-				os.Exit(1)
-			}
-			if err := rep.WriteHTML(f); err != nil {
-				f.Close()
-				fmt.Fprintln(os.Stderr, "cstbench:", err)
-				os.Exit(1)
-			}
-			if err := f.Close(); err != nil {
-				fmt.Fprintln(os.Stderr, "cstbench:", err)
-				os.Exit(1)
-			}
-			fmt.Fprintf(os.Stderr, "cstbench: audit report written to %s\n", *auditHTML)
-		}
-		if !rep.Clean() {
-			fmt.Fprintf(os.Stderr, "cstbench: power audit raised %d violation(s)\n", len(rep.Violations))
-			os.Exit(1)
-		}
+	if auditor == nil {
+		return nil
 	}
+	auditor.Flush()
+	rep := auditor.Report()
+	fmt.Fprintf(w, "## Power audit\n\n%s\n", rep.Summary())
+	if o.auditHTML != "" {
+		f, err := os.Create(o.auditHTML)
+		if err != nil {
+			return err
+		}
+		if err := rep.WriteHTML(f); err != nil {
+			f.Close()
+			return err
+		}
+		if err := f.Close(); err != nil {
+			return err
+		}
+		fmt.Fprintf(os.Stderr, "cstbench: audit report written to %s\n", o.auditHTML)
+	}
+	if !rep.Clean() {
+		return fmt.Errorf("power audit raised %d violation(s)", len(rep.Violations))
+	}
+	return nil
 }

@@ -53,10 +53,7 @@ type options struct {
 	audit         bool
 	engineMetrics bool
 	chaos         int
-	chaosRounds   int
 	seed          int64
-	exactBudget   int
-	peelBatches   int
 }
 
 func parseFlags(args []string) (options, error) {
@@ -79,10 +76,7 @@ func parseFlags(args []string) (options, error) {
 	fs.BoolVar(&o.audit, "audit", false, "attach a live power auditor to the trace stream; report on drain")
 	fs.BoolVar(&o.engineMetrics, "engine-metrics", false, "thread metrics/trace into the shard engines (cst_online_*/cst_padr_* series)")
 	fs.IntVar(&o.chaos, "chaos", 0, "inject this many random faults per shard (0 = none)")
-	fs.IntVar(&o.chaosRounds, "chaos-rounds", 64, "simulated-round window the chaos plan spans")
 	fs.Int64Var(&o.seed, "seed", 1, "chaos plan seed")
-	fs.IntVar(&o.exactBudget, "exact-budget", 0, "branch-and-bound node budget for hybrid residual coloring (0 = default)")
-	fs.IntVar(&o.peelBatches, "peel-batches", 0, "well-nested batches the hybrid planner peels per orientation (0 = default)")
 	if err := fs.Parse(args); err != nil {
 		return o, err
 	}
@@ -96,6 +90,23 @@ func parseFlags(args []string) (options, error) {
 		return o, fmt.Errorf("cstserved: -trace-sample must be in [0, 1] (got %g)", o.traceSample)
 	}
 	return o, nil
+}
+
+// chaosRounds is the simulated-round window a -chaos fault plan spans.
+const chaosRounds = 64
+
+// chaosPlan draws the -chaos fault plan each shard runs under: -chaos
+// random faults over a chaosRounds window, seeded by -seed (nil without
+// -chaos).
+func chaosPlan(o options) ([]cst.Fault, error) {
+	if o.chaos == 0 {
+		return nil, nil
+	}
+	tree, err := cst.NewTree(o.pes)
+	if err != nil {
+		return nil, fmt.Errorf("cstserved: -pes: %w", err)
+	}
+	return cst.RandomFaults(cst.NewRand(o.seed), tree, chaosRounds, o.chaos, 0), nil
 }
 
 // readHeaderTimeout bounds how long a client may take to send its request
@@ -123,6 +134,10 @@ type server struct {
 // newServer builds the pool and binds the listener; serving starts with
 // (*server).serve.
 func newServer(o options, out io.Writer) (*server, error) {
+	faults, err := chaosPlan(o)
+	if err != nil {
+		return nil, err
+	}
 	s := &server{opts: o, reg: cst.NewMetrics(), out: out}
 	var sink io.Writer
 	if o.traceOut != "" {
@@ -141,14 +156,6 @@ func newServer(o options, out io.Writer) (*server, error) {
 	if o.audit {
 		s.auditor = cst.NewAuditor(cst.AuditConfig{Registry: s.reg})
 		s.tracer.SetSink(s.auditor.Observe)
-	}
-	var faults []cst.Fault
-	if o.chaos > 0 {
-		tree, err := cst.NewTree(o.pes)
-		if err != nil {
-			return nil, fmt.Errorf("cstserved: -pes: %w", err)
-		}
-		faults = cst.RandomFaults(cst.NewRand(o.seed), tree, o.chaosRounds, o.chaos, 0)
 	}
 	pool, err := cst.NewServePool(cst.ServeConfig{
 		PEs:             o.pes,
@@ -179,12 +186,7 @@ func newServer(o options, out io.Writer) (*server, error) {
 	// The set planner is shared by both transports; its replay trace joins
 	// the pool's on the same tracer, so an attached auditor bills hybrid
 	// plans too.
-	s.planner = cst.NewServePlanner(cst.ServePlannerConfig{
-		ExactBudget: o.exactBudget,
-		MaxBatches:  o.peelBatches,
-		Registry:    s.reg,
-		Tracer:      s.tracer,
-	})
+	s.planner = cst.NewServePlanner(cst.ServePlannerConfig{Registry: s.reg, Tracer: s.tracer})
 	s.srv = &http.Server{Handler: cst.NewServeHandler(pool, s.planner, s.reg, s.tracer),
 		ReadHeaderTimeout: readHeaderTimeout}
 	if o.wireAddr != "" {

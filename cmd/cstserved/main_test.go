@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
@@ -30,20 +31,57 @@ func testOptions(t *testing.T) options {
 }
 
 func TestParseFlags(t *testing.T) {
-	// -batch-wait is ignored but must keep parsing: existing command
-	// lines pass it.
-	o, err := parseFlags([]string{"-addr", ":9999", "-pes", "32", "-batch-wait", "5ms"})
+	for _, tc := range []struct {
+		name  string
+		args  []string
+		ok    bool
+		check func(options) bool
+	}{
+		// The command line servebench starts the server with; -batch-wait
+		// is ignored but keeps parsing.
+		{"servebench flags", []string{"-addr", "127.0.0.1:0", "-wire-addr", "127.0.0.1:0",
+			"-pes", "1024", "-shards", "2", "-batch-max", "32", "-batch-wait", "2ms",
+			"-queue-depth", "256", "-wire-pipeline", "64", "-trace-sample", "0"}, true,
+			func(o options) bool {
+				return o.addr == "127.0.0.1:0" && o.wireAddr == "127.0.0.1:0" && o.pes == 1024 &&
+					o.shards == 2 && o.batchMax == 32 && o.queueDepth == 256 &&
+					o.wirePipeline == 64 && o.traceSample == 0
+			}},
+		{"chaos", []string{"-chaos", "5", "-seed", "7"}, true,
+			func(o options) bool { return o.chaos == 5 && o.seed == 7 }},
+		{"zero shards", []string{"-shards", "0"}, false, nil},
+		{"negative chaos", []string{"-chaos", "-1"}, false, nil},
+		{"trace sample over 1", []string{"-trace-sample", "1.5"}, false, nil},
+		// Single-value settings are constants, not flags.
+		{"exact budget", []string{"-exact-budget", "10"}, false, nil},
+		{"peel batches", []string{"-peel-batches", "2"}, false, nil},
+		{"chaos rounds", []string{"-chaos-rounds", "32"}, false, nil},
+	} {
+		o, err := parseFlags(tc.args)
+		if (err == nil) != tc.ok {
+			t.Errorf("%s: parseFlags(%q) error = %v, want ok=%v", tc.name, tc.args, err, tc.ok)
+			continue
+		}
+		if tc.ok && tc.check != nil && !tc.check(o) {
+			t.Errorf("%s: parsed %+v", tc.name, o)
+		}
+	}
+
+	// -chaos N draws N faults per shard over the 64-round window.
+	o, err := parseFlags([]string{"-pes", "16", "-chaos", "5", "-seed", "7"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if o.addr != ":9999" || o.pes != 32 {
-		t.Fatalf("parsed %+v", o)
+	plan, err := chaosPlan(o)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := parseFlags([]string{"-shards", "0"}); err == nil {
-		t.Error("-shards 0: want error")
+	want := cst.RandomFaults(cst.NewRand(7), cst.MustNewTree(16), 64, 5, 0)
+	if len(plan) != 5 || !reflect.DeepEqual(plan, want) {
+		t.Fatalf("chaos plan %v, want %v", plan, want)
 	}
-	if _, err := parseFlags([]string{"-chaos", "-1"}); err == nil {
-		t.Error("-chaos -1: want error")
+	if plan, err := chaosPlan(testOptions(t)); err != nil || plan != nil {
+		t.Fatalf("no -chaos: plan %v, err %v", plan, err)
 	}
 }
 

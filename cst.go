@@ -35,6 +35,7 @@ import (
 
 	"cst/internal/audit"
 	"cst/internal/baseline"
+	"cst/internal/circuit"
 	"cst/internal/comm"
 	"cst/internal/deliver"
 	"cst/internal/energy"
@@ -42,7 +43,6 @@ import (
 	"cst/internal/fault"
 	"cst/internal/general"
 	"cst/internal/harness"
-	"cst/internal/hybrid"
 	"cst/internal/obs"
 	"cst/internal/online"
 	"cst/internal/padr"
@@ -53,19 +53,14 @@ import (
 	"cst/internal/serve"
 	"cst/internal/sim"
 	"cst/internal/srga"
-	"cst/internal/timing"
 	"cst/internal/topology"
 	"cst/internal/trace"
 	"cst/internal/wire"
-	"cst/internal/xbar"
 )
 
 // Tree is the circuit switched tree substrate (heap-indexed complete binary
 // tree; leaves are PEs, internal nodes are 3-sided switches).
 type Tree = topology.Tree
-
-// Node is a tree node handle.
-type Node = topology.Node
 
 // NewTree builds a CST with n leaves (n a power of two, >= 2).
 func NewTree(n int) (*Tree, error) { return topology.New(n) }
@@ -100,8 +95,6 @@ func Decompose(s *Set) (right, leftMirrored *Set) { return comm.Decompose(s) }
 var (
 	// RandomWellNested draws a uniform well-nested set with m communications.
 	RandomWellNested = comm.RandomWellNested
-	// RandomWellNestedWidth draws a well-nested set of an exact link width.
-	RandomWellNestedWidth = comm.RandomWellNestedWidth
 	// NestedChain is the root-crossing width-w chain ((((…)))).
 	NestedChain = comm.NestedChain
 	// SplitChain is the chain whose sources split across two subtrees — the
@@ -118,22 +111,10 @@ var (
 	// BitReversal is the FFT-style bit-reversal pairing — crossing-heavy,
 	// not well nested; for the general scheduler.
 	BitReversal = comm.BitReversal
-	// CrossingPairs is the pairwise-crossing comb with alternating
-	// orientations — no two communications nest; the adversarial workload
-	// for the hybrid planner's residual path.
-	CrossingPairs = comm.CrossingPairs
 	// RandomOriented draws an arbitrary right-oriented (possibly crossing) set.
 	RandomOriented = comm.RandomOriented
 	// RandomTwoSided draws an arbitrary set with both orientations.
 	RandomTwoSided = comm.RandomTwoSided
-)
-
-// Workload combinators (Set also has Translate/Within/Pad methods).
-var (
-	// Concat places one set's PE line to the right of another's.
-	Concat = comm.Concat
-	// Nest wraps a set in one enclosing communication (depth + 1).
-	Nest = comm.Nest
 )
 
 // Schedule is a multi-round schedule with an independent verifier
@@ -152,10 +133,6 @@ const (
 	// re-established and billed.
 	Stateless = power.Stateless
 )
-
-// PowerReport is the per-run power ledger (units and alternations per
-// switch).
-type PowerReport = power.Report
 
 // Result is the outcome of a PADR run.
 type Result = padr.Result
@@ -176,15 +153,11 @@ func WithObserver(o Observer) Option { return padr.WithObserver(o) }
 // padr package and experiment E12 for the tradeoff between the two rules.
 type Selection = padr.Selection
 
-// Selection rules.
-const (
-	// GreedySelection is the literal Fig. 5 pseudocode (default):
-	// time-optimal on every input.
-	GreedySelection = padr.Greedy
-	// ConservativeSelection enforces the paper's satisfy-outer-first prose:
-	// O(1) changes per switch on every input, possibly extra rounds.
-	ConservativeSelection = padr.Conservative
-)
+// ConservativeSelection enforces the paper's satisfy-outer-first prose:
+// O(1) changes per switch on every input, possibly extra rounds. The
+// default rule is the literal Fig. 5 pseudocode, time-optimal on every
+// input.
+const ConservativeSelection = padr.Conservative
 
 // WithSelection picks the selection rule for Run.
 func WithSelection(s Selection) Option { return padr.WithSelection(s) }
@@ -224,8 +197,7 @@ func RunBoth(t *Tree, s *Set, opts ...Option) (right, left *Result, err error) {
 	if err := s.Validate(); err != nil {
 		return nil, nil, err
 	}
-	switches := map[topology.Node]*xbar.Switch{}
-	t.EachSwitch(func(n topology.Node) { switches[n] = xbar.NewSwitch() })
+	switches := circuit.NewSwitches(t)
 	r, lm := comm.Decompose(s)
 	if r.Len() > 0 {
 		right, err = Run(t, r, append(opts, padr.WithCrossbars(switches))...)
@@ -234,7 +206,7 @@ func RunBoth(t *Tree, s *Set, opts ...Option) (right, left *Result, err error) {
 		}
 	}
 	if lm.Len() > 0 {
-		left, err = Run(t, lm, append(opts, padr.WithReflectedCrossbars(switches))...)
+		left, err = Run(t, lm, append(opts, padr.WithCrossbars(switches), padr.WithReflection(true))...)
 		if err != nil {
 			return right, nil, err
 		}
@@ -352,16 +324,8 @@ var (
 	RowShift = srga.RowShift
 )
 
-// EnergyModel prices a run beyond the paper's unit model: SetCost per
-// established connection, HoldCost per connection·round held, IdleCost per
-// switch·round.
-type EnergyModel = energy.Model
-
 // PaperEnergyModel is §2.3 verbatim: only establishment costs.
 var PaperEnergyModel = energy.Paper
-
-// EnergyBreakdown is a priced run.
-type EnergyBreakdown = energy.Breakdown
 
 // EvaluateEnergy prices per-round configuration snapshots under a model;
 // it charges the minimal physical work realizing the trajectory.
@@ -370,10 +334,6 @@ var EvaluateEnergy = energy.Evaluate
 // EnergyCrossover locates the HoldCost at which two trajectories' totals
 // cross (the sensitivity of the paper's holding-is-free assumption).
 var EnergyCrossover = energy.Crossover
-
-// ConflictGraph is the share-a-directed-link conflict structure of an
-// arbitrary right-oriented set.
-type ConflictGraph = general.ConflictGraph
 
 // Conflicts builds the conflict graph of a right-oriented (possibly
 // crossing) set.
@@ -385,11 +345,9 @@ var ScheduleFirstFit = general.FirstFit
 
 // ScheduleExact finds a minimum-round schedule for an arbitrary
 // right-oriented set by branch-and-bound, within a search-node budget; on
-// budget exhaustion it returns the best valid schedule plus ErrBudget.
+// budget exhaustion it returns the best valid schedule plus
+// general.ErrBudget.
 var ScheduleExact = general.Exact
-
-// ErrBudget marks a possibly suboptimal ScheduleExact result.
-var ErrBudget = general.ErrBudget
 
 // ExactIncumbent adapts a ScheduleExact result so budget exhaustion keeps
 // the valid incumbent schedule instead of surfacing as an error:
@@ -397,73 +355,10 @@ var ErrBudget = general.ErrBudget
 //	sch, exhausted, err := cst.ExactIncumbent(cst.ScheduleExact(tree, set, budget))
 var ExactIncumbent = general.Incumbent
 
-// Hybrid scheduling. ScheduleHybrid is the front end for arbitrary valid
-// communication sets — crossing pairs, left-oriented spans, anything
-// Validate accepts: it decomposes by orientation, peels maximal
-// well-nested batches through the paper's scheduler, colors the crossing
-// residual, and returns the composite plan (never worse than pure
-// FirstFit coloring) with its replayed power bill.
-
-// HybridPlan is a composite schedule plus its decomposition shape, round
-// bound and power report.
-type HybridPlan = hybrid.Plan
-
-// HybridOption customizes ScheduleHybrid.
-type HybridOption = hybrid.Option
-
-// ScheduleHybrid plans an arbitrary valid set on t.
-func ScheduleHybrid(t *Tree, s *Set, opts ...HybridOption) (*HybridPlan, error) {
-	return hybrid.Schedule(t, s, opts...)
-}
-
-// WithHybridMode sets the power accounting mode for the plan's replay.
-func WithHybridMode(m PowerMode) HybridOption { return hybrid.WithMode(m) }
-
-// WithHybridExactBudget bounds the residual coloring's exact search.
-func WithHybridExactBudget(n int) HybridOption { return hybrid.WithExactBudget(n) }
-
-// WithHybridMaxBatches bounds the well-nested batches peeled per
-// orientation.
-func WithHybridMaxBatches(n int) HybridOption { return hybrid.WithMaxBatches(n) }
-
-// WithHybridTracer streams the plan's replay trace (audit-compatible).
-func WithHybridTracer(tr *Tracer) HybridOption { return hybrid.WithTracer(tr) }
-
-// Hybrid strategy names reported in HybridPlan.Strategy.
-const (
-	HybridStrategyPeel     = hybrid.StrategyPeel
-	HybridStrategyColoring = hybrid.StrategyColoring
-)
-
-// MinChangeResult is the outcome of the exact joint rounds/changes
-// optimization.
-type MinChangeResult = general.MinChangeResult
-
-// MinChangeSchedule searches all width-round schedules for the fewest
-// configuration changes (exponential; small instances only) — the tool
-// behind experiment E15.
-var MinChangeSchedule = general.MinChangeSchedule
-
 // Serialization of runs for external tooling (plotting, CI dashboards).
-var (
-	// WriteScheduleJSON writes a schedule as indented JSON.
-	WriteScheduleJSON = export.WriteScheduleJSON
-	// UnmarshalSchedule reverses WriteScheduleJSON.
-	UnmarshalSchedule = export.UnmarshalSchedule
-	// WriteReportJSON writes a power report as indented JSON.
-	WriteReportJSON = export.WriteReportJSON
-	// WriteResultJSON writes a full PADR run as indented JSON.
-	WriteResultJSON = export.WriteResultJSON
-	// ScheduleCSV writes one line per communication: round,src,dst.
-	ScheduleCSV = export.ScheduleCSV
-	// ReportCSV writes one line per non-idle switch: node,units,alternations.
-	ReportCSV = export.ReportCSV
-)
 
-// SelfRoute configures one circuit by Sidhu et al.'s header-driven
-// self-routing — the historical predecessor the paper's algorithm
-// supersedes; handles either orientation.
-var SelfRoute = selfroute.Route
+// WriteResultJSON writes a full PADR run as indented JSON.
+var WriteResultJSON = export.WriteResultJSON
 
 // SelfRouteAll self-routes an entire pairwise-disjoint set in one round.
 var SelfRouteAll = selfroute.RouteAll
@@ -483,26 +378,6 @@ func NewOnline(n int, opts ...OnlineOption) (*OnlineSimulator, error) {
 	return online.New(n, opts...)
 }
 
-// OnlineStats summarizes an online run (latency, batches, power).
-type OnlineStats = online.Stats
-
-// TimingParams prices schedules in clock cycles (control wave per level,
-// reconfiguration stall, transfer time).
-type TimingParams = timing.Params
-
-// DefaultTiming is a conventional operating point (1 cycle/level, 4-cycle
-// reconfiguration stall, 1 transfer cycle).
-var DefaultTiming = timing.Default
-
-// TimingBreakdown is a cycle-priced run.
-type TimingBreakdown = timing.Breakdown
-
-// Makespan prices per-round configuration snapshots in clock cycles.
-var Makespan = timing.Makespan
-
-// TimingSpeedup compares two priced runs (>1 means the first is faster).
-var TimingSpeedup = timing.Speedup
-
 // ExperimentConfig tunes the reproduction experiments.
 type ExperimentConfig = harness.Config
 
@@ -514,9 +389,6 @@ func Experiments() []Experiment { return harness.All() }
 
 // ExperimentByID looks up one experiment.
 var ExperimentByID = harness.ByID
-
-// RunExperiments executes every registered experiment, writing markdown.
-var RunExperiments = harness.RunAll
 
 // RunExperiment executes one experiment with its standard header.
 var RunExperiment = harness.RunOne
@@ -543,16 +415,6 @@ type TraceEvent = obs.Event
 // NewTracer builds a tracer; the writer may be nil (ring-only) and
 // ringSize <= 0 selects the default ring capacity.
 var NewTracer = obs.NewTracer
-
-// Span tracing (see OBSERVABILITY.md §Spans): request-scoped timing trees
-// recorded through a Tracer. SpanContext propagates across protocol hops
-// (the X-CST-Trace header, wire trace blocks); the FlightRecorder pins
-// the slowest and errored span trees for /trace/flight.
-type (
-	SpanContext    = obs.SpanContext
-	SpanRecord     = obs.SpanRecord
-	FlightRecorder = obs.FlightRecorder
-)
 
 // NewFlightRecorder builds a flight recorder pinning the k slowest and the
 // k most recent errored traces (k <= 0 selects DefaultFlightK). Attach with
@@ -586,13 +448,6 @@ func WithConcurrentMetrics(r *Metrics) ConcurrentOption { return sim.WithRegistr
 // WithConcurrentTrace streams RunConcurrent's structured events.
 func WithConcurrentTrace(t *Tracer) ConcurrentOption { return sim.WithTracer(t) }
 
-// WithOnlineMetrics publishes the online dispatcher's cst_online_* series
-// (and threads the registry into its inner engines).
-func WithOnlineMetrics(r *Metrics) OnlineOption { return online.WithRegistry(r) }
-
-// WithOnlineTrace streams the online dispatcher's batch events.
-func WithOnlineTrace(t *Tracer) OnlineOption { return online.WithTracer(t) }
-
 // MetricsSummary renders a per-engine metrics snapshot (latency quantiles,
 // messages per round, changes per switch) as a markdown table.
 var MetricsSummary = harness.MetricsSummary
@@ -612,18 +467,6 @@ type AuditConfig = audit.Config
 // AuditLimits bounds the theorem monitors; the zero value selects adaptive
 // defaults scaled to the audited tree size.
 type AuditLimits = audit.Limits
-
-// AuditViolation is one detected breach of a paper invariant; it
-// implements error.
-type AuditViolation = audit.Violation
-
-// AuditReport is an immutable snapshot of an auditor's findings with
-// markdown/HTML renderers.
-type AuditReport = audit.Report
-
-// AuditRun is the audited record of one engine run: the replayed ledger,
-// critical paths, and any violations.
-type AuditRun = audit.RunAudit
 
 // NewAuditor builds an empty auditor.
 func NewAuditor(cfg AuditConfig) *Auditor { return audit.New(cfg) }
@@ -646,7 +489,8 @@ var WritePerfetto = audit.WritePerfetto
 // link for a window of rounds) that any of the three engines accepts; the
 // hardened engines turn every induced failure into a typed *FaultError
 // carrying the engine, round, and implicated node, matchable against the
-// Err* sentinels with errors.Is. See DESIGN.md §9 for the fault model.
+// fault package's sentinels with errors.Is. See DESIGN.md §9 for the fault
+// model.
 
 // FaultInjector is a deterministic, run-scoped fault plan shared by all
 // engines. A nil injector is inert.
@@ -655,47 +499,12 @@ type FaultInjector = fault.Injector
 // Fault is one entry in an injection plan.
 type Fault = fault.Fault
 
-// FaultKind selects a fault class.
-type FaultKind = fault.Kind
-
-// Injectable fault classes.
-const (
-	// FaultDropWord drops one control word in flight.
-	FaultDropWord = fault.DropWord
-	// FaultCorruptWord deterministically mutates one control word.
-	FaultCorruptWord = fault.CorruptWord
-	// FaultDelayWord stalls a word's delivery (concurrent fabric only).
-	FaultDelayWord = fault.DelayWord
-	// FaultFreezeSwitch makes a switch swallow Phase 2 words for a window.
-	FaultFreezeSwitch = fault.FreezeSwitch
-	// FaultFailLink drops every word on a link for a window of rounds.
-	FaultFailLink = fault.FailLink
-)
-
-// FaultPhase1 is the Fault.Round value addressing the Phase 1 convergecast.
-const FaultPhase1 = fault.Phase1
+// FaultCorruptWord deterministically mutates one control word.
+const FaultCorruptWord = fault.CorruptWord
 
 // FaultError is the typed failure a hardened engine returns when a fault
 // kills a run; errors.As extracts it, errors.Is matches its sentinel Kind.
 type FaultError = fault.Error
-
-// StallReport is the per-node diagnosis attached to a watchdog deadline
-// abort: the silent PEs and the maximal dark subtrees covering them.
-type StallReport = fault.Stall
-
-// Fault taxonomy sentinels (match with errors.Is).
-var (
-	// ErrCorruptWord marks a run killed by an invalid control word.
-	ErrCorruptWord = fault.ErrCorruptWord
-	// ErrWordLost marks a control word dropped in flight.
-	ErrWordLost = fault.ErrWordLost
-	// ErrSwitchDown marks a switch that stopped serving control words.
-	ErrSwitchDown = fault.ErrSwitchDown
-	// ErrLinkDown marks a link failed for a window of rounds.
-	ErrLinkDown = fault.ErrLinkDown
-	// ErrDeadline marks a run aborted by the watchdog or context deadline.
-	ErrDeadline = fault.ErrDeadline
-)
 
 // FaultOption configures a FaultInjector.
 type FaultOption = fault.Option
@@ -718,25 +527,16 @@ var RandomFaults = fault.Random
 // typed *FaultError values.
 func WithFaults(in *FaultInjector) Option { return padr.WithFaults(in) }
 
-// WithConcurrentFaults arms RunConcurrent/NewFabric with an injector and —
-// unless overridden by WithWatchdog — a default per-wave watchdog that
-// aborts a stalled run with ErrDeadline and a StallReport.
+// WithConcurrentFaults arms RunConcurrent/NewFabric with an injector and a
+// default per-wave watchdog that aborts a stalled run with
+// fault.ErrDeadline and a stall report naming the silent subtrees.
 func WithConcurrentFaults(in *FaultInjector) ConcurrentOption {
 	return sim.WithFaults(in)
 }
 
-// WithWatchdog sets the concurrent fabric's per-wave stall budget; zero
-// keeps the default (armed only under injection), negative disables.
-var WithWatchdog = sim.WithWatchdog
-
-// WithOnlineFaults arms the online dispatcher's inner engines with an
-// injector: a failed batch is retried on a fresh engine over restored
-// crossbars and quarantined (with a typed error) when retries are spent.
-func WithOnlineFaults(in *FaultInjector) OnlineOption { return online.WithFaults(in) }
-
 // RunConcurrentContext is RunConcurrent under a context: cancellation or
-// deadline expiry aborts the run with ErrDeadline and tears the circuits
-// down cleanly.
+// deadline expiry aborts the run with fault.ErrDeadline and tears the
+// circuits down cleanly.
 func RunConcurrentContext(ctx context.Context, t *Tree, s *Set, opts ...ConcurrentOption) (*ConcurrentResult, error) {
 	return sim.RunContext(ctx, t, s, opts...)
 }
@@ -757,43 +557,13 @@ type ServePool = serve.Pool
 // value selects workable defaults.
 type ServeConfig = serve.Config
 
-// ServeResult is the terminal answer for one scheduling request, carrying
-// the HTTP status mapping the service uses.
-type ServeResult = serve.Result
-
-// ServeStats is a point-in-time snapshot of a pool's admission state.
-type ServeStats = serve.Stats
-
-// ServeScheduleRequest is the POST /schedule payload.
-type ServeScheduleRequest = serve.ScheduleRequest
-
-// ServeScheduleSetRequest is the POST /schedule-set payload: a whole
-// (possibly non-well-nested) communication set for the hybrid planner.
-type ServeScheduleSetRequest = serve.ScheduleSetRequest
-
 // ServePlanner answers whole-set scheduling requests through the hybrid
 // pipeline; share one between the HTTP handler and the wire server.
 type ServePlanner = serve.Planner
 
-// ServePlannerConfig parameterizes a ServePlanner (exact budget, peel
-// batches, set size cap, observability).
+// ServePlannerConfig parameterizes a ServePlanner's observability (metrics
+// registry, tracer).
 type ServePlannerConfig = serve.PlannerConfig
-
-// ServeSetResult is the outcome of planning one set, HTTP-status mapped.
-type ServeSetResult = serve.SetResult
-
-// ServeSetComm is one communication inside a set request or planned round.
-type ServeSetComm = serve.SetComm
-
-// ServeScheduleDeltaRequest is the POST /schedule-delta payload: a
-// session-scoped mutation (removes then adds) of a long-lived set served
-// by the incremental scheduler.
-type ServeScheduleDeltaRequest = serve.ScheduleDeltaRequest
-
-// ServeDeltaResult is the terminal answer for one delta request: the
-// re-scheduled session's rounds/width/size, whether a from-scratch
-// fallback served it, and the HTTP status mapping.
-type ServeDeltaResult = serve.DeltaResult
 
 // NewServePool builds a scheduling pool; call Start to launch its workers
 // and Drain to shut it down without losing admitted requests.
@@ -808,15 +578,6 @@ var NewServePlanner = serve.NewPlanner
 // planner answers /schedule-set with 501.
 var NewServeHandler = serve.Handler
 
-// Serving error sentinels.
-var (
-	// ErrServeDraining rejects admissions after a drain has begun (503).
-	ErrServeDraining = serve.ErrDraining
-	// ErrServeQueueFull is the backpressure signal: every shard's
-	// admission queue is at capacity (429).
-	ErrServeQueueFull = serve.ErrQueueFull
-)
-
 // Wire protocol. The binary framing cstserved speaks on its -wire-addr
 // TCP listener: persistent pipelined connections, varint-packed frames,
 // and an allocation-free serve hot path. See SERVING.md and internal/wire
@@ -830,25 +591,14 @@ type WireServer = serve.WireServer
 type WireConfig = serve.WireConfig
 
 // NewWireServer builds a wire-protocol front end over a pool; run it with
-// Serve or ListenAndServe.
+// Serve.
 var NewWireServer = serve.NewWireServer
-
-// WireClient is one persistent client connection with pipelined sends,
-// for load generators and tests. Not safe for concurrent use.
-type WireClient = wire.ClientConn
 
 // WireRequest and WireResponse are the wire protocol's request and
 // terminal-answer payloads; responses correlate to requests by ID.
 type (
 	WireRequest  = wire.Request
 	WireResponse = wire.Response
-)
-
-// WireSetRequest and WireSetResponse are the whole-set frames: a
-// communication set in, the hybrid plan's shape and power bill back.
-type (
-	WireSetRequest  = wire.SetRequest
-	WireSetResponse = wire.SetResponse
 )
 
 // WireDial connects to a wire listener, performs the version handshake

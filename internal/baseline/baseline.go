@@ -216,7 +216,7 @@ func execute(name string, t *topology.Tree, s *comm.Set, rounds [][]comm.Comm, m
 	schedule := &sched.Schedule{Set: s.Clone(), Rounds: rounds}
 	return &Result{
 		Schedule: schedule,
-		Report:   power.CollectSlice(name, mode, len(rounds), t, switches),
+		Report:   power.Collect(name, mode, len(rounds), t, switches),
 		Rounds:   len(rounds),
 		Width:    width,
 		Configs:  configs,

@@ -1,8 +1,9 @@
 // Package circuit establishes whole source→destination circuits on CST
 // switches, the way a centralized controller would (one connection per
-// switch on the path). The PADR engine never uses this — it configures
-// switches from local control words — but the baselines, the SRGA layer and
-// several tests do.
+// switch on the path). The PADR engine configures switches from local
+// control words instead and takes only its crossbar layout (NewSwitches)
+// from here; the baselines, the hybrid replay, the harness and
+// general.MinChangeSchedule configure whole circuits.
 package circuit
 
 import (
@@ -21,9 +22,9 @@ func childSide(t *topology.Tree, child topology.Node) xbar.Side {
 	return xbar.R
 }
 
-// NewSwitches returns a fresh crossbar for every switch of t, in the layout
-// Configure takes: indexed by node, entry 0 unused, as padr's shared
-// crossbars are.
+// NewSwitches returns a fresh crossbar for every switch of t in the one
+// layout every engine shares: a slice indexed by node (entry 0 unused) over
+// a single backing array, so a tree's crossbars cost two allocations.
 func NewSwitches(t *topology.Tree) []*xbar.Switch {
 	xbars := make([]xbar.Switch, t.Leaves())
 	switches := make([]*xbar.Switch, t.Leaves())

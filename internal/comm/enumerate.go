@@ -58,13 +58,3 @@ func EnumerateWellNested(n, maxComms int, fn func(*Set) error) error {
 	}
 	return rec(0, 0, 0)
 }
-
-// CountWellNested returns the number of sets EnumerateWellNested visits.
-func CountWellNested(n, maxComms int) (int, error) {
-	count := 0
-	err := EnumerateWellNested(n, maxComms, func(*Set) error {
-		count++
-		return nil
-	})
-	return count, err
-}

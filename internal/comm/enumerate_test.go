@@ -14,8 +14,16 @@ func TestEnumerateCountsMatchTheory(t *testing.T) {
 		{8, 4, 1 + 28 + 70*2 + 28*5 + 14},
 		{8, 1, 1 + 28},
 	}
+	count := func(n, maxM int) (int, error) {
+		got := 0
+		err := EnumerateWellNested(n, maxM, func(*Set) error {
+			got++
+			return nil
+		})
+		return got, err
+	}
 	for _, c := range cases {
-		got, err := CountWellNested(c.n, c.maxM)
+		got, err := count(c.n, c.maxM)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -23,7 +31,7 @@ func TestEnumerateCountsMatchTheory(t *testing.T) {
 			t.Errorf("Count(%d,%d) = %d, want %d", c.n, c.maxM, got, c.want)
 		}
 	}
-	if _, err := CountWellNested(6, 1); err == nil {
+	if _, err := count(6, 1); err == nil {
 		t.Error("non power of two: want error")
 	}
 }

@@ -180,17 +180,8 @@ const (
 	DownWordBytes = 9
 )
 
-// EncodeUp serializes an Up word into 8 bytes (two uint32 counters).
-func EncodeUp(u Up) ([]byte, error) {
-	b := make([]byte, UpWordBytes)
-	if _, err := EncodeUpInto(b, u); err != nil {
-		return nil, err
-	}
-	return b, nil
-}
-
-// EncodeUpInto serializes u into buf, which must hold at least UpWordBytes,
-// and returns the encoded size. It allocates nothing, so engines that only
+// EncodeUpInto serializes u into buf, which must hold at least UpWordBytes
+// (two big-endian uint32 counters), and returns the encoded size. It allocates nothing, so engines that only
 // need wire-size accounting can reuse one scratch buffer across every word.
 func EncodeUpInto(buf []byte, u Up) (int, error) {
 	if len(buf) < UpWordBytes {
@@ -207,7 +198,7 @@ func EncodeUpInto(buf []byte, u Up) (int, error) {
 	return UpWordBytes, nil
 }
 
-// DecodeUp reverses EncodeUp.
+// DecodeUp reverses EncodeUpInto.
 func DecodeUp(b []byte) (Up, error) {
 	if len(b) != UpWordBytes {
 		return Up{}, fmt.Errorf("ctrl: Up word must be %d bytes, got %d", UpWordBytes, len(b))
@@ -218,18 +209,9 @@ func DecodeUp(b []byte) (Up, error) {
 	}, nil
 }
 
-// EncodeStored serializes a Stored word into 20 bytes (five uint32
-// counters).
-func EncodeStored(s Stored) ([]byte, error) {
-	b := make([]byte, StoredWordBytes)
-	if _, err := EncodeStoredInto(b, s); err != nil {
-		return nil, err
-	}
-	return b, nil
-}
-
 // EncodeStoredInto serializes s into buf, which must hold at least
-// StoredWordBytes, and returns the encoded size without allocating.
+// StoredWordBytes (five big-endian uint32 counters), and returns the
+// encoded size without allocating.
 func EncodeStoredInto(buf []byte, s Stored) (int, error) {
 	if len(buf) < StoredWordBytes {
 		return 0, fmt.Errorf("ctrl: Stored buffer needs %d bytes, got %d", StoredWordBytes, len(buf))
@@ -247,7 +229,7 @@ func EncodeStoredInto(buf []byte, s Stored) (int, error) {
 	return StoredWordBytes, nil
 }
 
-// DecodeStored reverses EncodeStored.
+// DecodeStored reverses EncodeStoredInto.
 func DecodeStored(b []byte) (Stored, error) {
 	if len(b) != StoredWordBytes {
 		return Stored{}, fmt.Errorf("ctrl: Stored word must be %d bytes, got %d", StoredWordBytes, len(b))
@@ -261,18 +243,9 @@ func DecodeStored(b []byte) (Stored, error) {
 	}, nil
 }
 
-// EncodeDown serializes a Down word into 9 bytes (use tag plus two uint32
-// selectors).
-func EncodeDown(d Down) ([]byte, error) {
-	b := make([]byte, DownWordBytes)
-	if _, err := EncodeDownInto(b, d); err != nil {
-		return nil, err
-	}
-	return b, nil
-}
-
 // EncodeDownInto serializes d into buf, which must hold at least
-// DownWordBytes, and returns the encoded size without allocating.
+// DownWordBytes (a use tag plus two big-endian uint32 selectors), and
+// returns the encoded size without allocating.
 func EncodeDownInto(buf []byte, d Down) (int, error) {
 	if len(buf) < DownWordBytes {
 		return 0, fmt.Errorf("ctrl: Down buffer needs %d bytes, got %d", DownWordBytes, len(buf))
@@ -292,7 +265,7 @@ func EncodeDownInto(buf []byte, d Down) (int, error) {
 	return DownWordBytes, nil
 }
 
-// DecodeDown reverses EncodeDown.
+// DecodeDown reverses EncodeDownInto.
 func DecodeDown(b []byte) (Down, error) {
 	if len(b) != DownWordBytes {
 		return Down{}, fmt.Errorf("ctrl: Down word must be %d bytes, got %d", DownWordBytes, len(b))

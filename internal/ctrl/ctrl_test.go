@@ -142,12 +142,13 @@ func TestDownString(t *testing.T) {
 
 func TestEncodeDecodeUp(t *testing.T) {
 	for _, u := range []Up{{}, {1, 0}, {0, 1}, {123456, 654321}} {
-		b, err := EncodeUp(u)
+		b := make([]byte, UpWordBytes)
+		n, err := EncodeUpInto(b, u)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(b) != UpWordBytes {
-			t.Fatalf("encoded Up is %d bytes", len(b))
+		if n != UpWordBytes {
+			t.Fatalf("encoded Up is %d bytes", n)
 		}
 		got, err := DecodeUp(b)
 		if err != nil {
@@ -157,8 +158,11 @@ func TestEncodeDecodeUp(t *testing.T) {
 			t.Fatalf("round trip %v -> %v", u, got)
 		}
 	}
-	if _, err := EncodeUp(Up{S: -1}); err == nil {
+	if _, err := EncodeUpInto(make([]byte, UpWordBytes), Up{S: -1}); err == nil {
 		t.Error("negative counter: want error")
+	}
+	if _, err := EncodeUpInto(make([]byte, UpWordBytes-1), Up{}); err == nil {
+		t.Error("short encode buffer: want error")
 	}
 	if _, err := DecodeUp([]byte{1, 2}); err == nil {
 		t.Error("short buffer: want error")
@@ -167,12 +171,13 @@ func TestEncodeDecodeUp(t *testing.T) {
 
 func TestEncodeDecodeStored(t *testing.T) {
 	s := Stored{M: 5, SL: 4, DL: 3, SR: 2, DR: 1}
-	b, err := EncodeStored(s)
+	b := make([]byte, StoredWordBytes)
+	n, err := EncodeStoredInto(b, s)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(b) != StoredWordBytes {
-		t.Fatalf("encoded Stored is %d bytes", len(b))
+	if n != StoredWordBytes {
+		t.Fatalf("encoded Stored is %d bytes", n)
 	}
 	got, err := DecodeStored(b)
 	if err != nil {
@@ -181,8 +186,11 @@ func TestEncodeDecodeStored(t *testing.T) {
 	if got != s {
 		t.Fatalf("round trip %v -> %v", s, got)
 	}
-	if _, err := EncodeStored(Stored{DR: -2}); err == nil {
+	if _, err := EncodeStoredInto(make([]byte, StoredWordBytes), Stored{DR: -2}); err == nil {
 		t.Error("negative counter: want error")
+	}
+	if _, err := EncodeStoredInto(make([]byte, StoredWordBytes-1), s); err == nil {
+		t.Error("short encode buffer: want error")
 	}
 	if _, err := DecodeStored(nil); err == nil {
 		t.Error("nil buffer: want error")
@@ -196,12 +204,13 @@ func TestEncodeDecodeDown(t *testing.T) {
 		{Use: UseD, Xd: 9},
 		{Use: UseSD, Xs: 1, Xd: 2},
 	} {
-		b, err := EncodeDown(d)
+		b := make([]byte, DownWordBytes)
+		n, err := EncodeDownInto(b, d)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(b) != DownWordBytes {
-			t.Fatalf("encoded Down is %d bytes", len(b))
+		if n != DownWordBytes {
+			t.Fatalf("encoded Down is %d bytes", n)
 		}
 		got, err := DecodeDown(b)
 		if err != nil {
@@ -211,11 +220,15 @@ func TestEncodeDecodeDown(t *testing.T) {
 			t.Fatalf("round trip %v -> %v", d, got)
 		}
 	}
-	if _, err := EncodeDown(Down{Use: Use(7)}); err == nil {
+	buf := make([]byte, DownWordBytes)
+	if _, err := EncodeDownInto(buf, Down{Use: Use(7)}); err == nil {
 		t.Error("bad tag: want error")
 	}
-	if _, err := EncodeDown(Down{Use: UseS, Xs: -3}); err == nil {
+	if _, err := EncodeDownInto(buf, Down{Use: UseS, Xs: -3}); err == nil {
 		t.Error("negative selector: want error")
+	}
+	if _, err := EncodeDownInto(buf[:DownWordBytes-1], Down{}); err == nil {
+		t.Error("short encode buffer: want error")
 	}
 	if _, err := DecodeDown([]byte{9, 0, 0, 0, 0, 0, 0, 0, 0}); err == nil {
 		t.Error("bad tag byte: want error")
@@ -230,8 +243,8 @@ func TestEncodeDecodeDown(t *testing.T) {
 func TestEncodingRoundTripProperty(t *testing.T) {
 	f := func(s, d uint16, use uint8, xs, xd uint16) bool {
 		u := Up{S: int(s), D: int(d)}
-		bu, err := EncodeUp(u)
-		if err != nil || len(bu) != UpWordBytes {
+		bu := make([]byte, UpWordBytes)
+		if n, err := EncodeUpInto(bu, u); err != nil || n != UpWordBytes {
 			return false
 		}
 		ru, err := DecodeUp(bu)
@@ -239,8 +252,8 @@ func TestEncodingRoundTripProperty(t *testing.T) {
 			return false
 		}
 		dn := Down{Use: Use(use % 4), Xs: int(xs), Xd: int(xd)}
-		bd, err := EncodeDown(dn)
-		if err != nil || len(bd) != DownWordBytes {
+		bd := make([]byte, DownWordBytes)
+		if n, err := EncodeDownInto(bd, dn); err != nil || n != DownWordBytes {
 			return false
 		}
 		rd, err := DecodeDown(bd)

@@ -1,16 +1,12 @@
-// Package export serializes runs — schedules, power reports, experiment
-// series — as JSON and CSV so external tooling (plotting scripts, CI
-// dashboards) can consume reproduction results without parsing the human
-// tables.
+// Package export serializes a PADR run — its schedule and power report —
+// as JSON so external tooling (plotting scripts, CI dashboards) can consume
+// reproduction results without parsing the human tables.
 package export
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
-	"strings"
 
-	"cst/internal/comm"
 	"cst/internal/padr"
 	"cst/internal/power"
 	"cst/internal/sched"
@@ -38,36 +34,6 @@ func Schedule(s *sched.Schedule) ScheduleJSON {
 		out.Rounds = append(out.Rounds, row)
 	}
 	return out
-}
-
-// UnmarshalSchedule reverses Schedule, reconstructing the communication set
-// from the rounds.
-func UnmarshalSchedule(data []byte) (*sched.Schedule, error) {
-	var wire ScheduleJSON
-	if err := json.Unmarshal(data, &wire); err != nil {
-		return nil, fmt.Errorf("export: %v", err)
-	}
-	set := &comm.Set{N: wire.N}
-	s := &sched.Schedule{Set: set}
-	for _, row := range wire.Rounds {
-		round := make([]comm.Comm, len(row))
-		for i, pair := range row {
-			round[i] = comm.Comm{Src: pair[0], Dst: pair[1]}
-			set.Comms = append(set.Comms, round[i])
-		}
-		s.Rounds = append(s.Rounds, round)
-	}
-	if err := set.Validate(); err != nil {
-		return nil, fmt.Errorf("export: %v", err)
-	}
-	return s, nil
-}
-
-// WriteScheduleJSON writes a schedule as indented JSON.
-func WriteScheduleJSON(w io.Writer, s *sched.Schedule) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(Schedule(s))
 }
 
 // ReportJSON is the wire form of a power report.
@@ -114,13 +80,6 @@ func Report(r *power.Report) ReportJSON {
 	return out
 }
 
-// WriteReportJSON writes a power report as indented JSON.
-func WriteReportJSON(w io.Writer, r *power.Report) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(Report(r))
-}
-
 // ResultJSON is the wire form of a full PADR run.
 type ResultJSON struct {
 	Width           int          `json:"width"`
@@ -152,40 +111,4 @@ func WriteResultJSON(w io.Writer, res *padr.Result) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(Result(res))
-}
-
-// ScheduleCSV writes one line per communication: round,src,dst.
-func ScheduleCSV(w io.Writer, s *sched.Schedule) error {
-	if _, err := io.WriteString(w, "round,src,dst\n"); err != nil {
-		return err
-	}
-	for r, round := range s.Rounds {
-		for _, c := range round {
-			if _, err := fmt.Fprintf(w, "%d,%d,%d\n", r, c.Src, c.Dst); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-// ReportCSV writes one line per non-idle switch: node,units,alternations.
-func ReportCSV(w io.Writer, r *power.Report) error {
-	if _, err := io.WriteString(w, "node,units,alternations\n"); err != nil {
-		return err
-	}
-	for _, sw := range r.Switches {
-		if sw.Units == 0 && sw.Alternations == 0 {
-			continue
-		}
-		if _, err := fmt.Fprintf(w, "%d,%d,%d\n", int(sw.Node), sw.Units, sw.Alternations); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Sanitize strips newlines from free-text fields destined for CSV cells.
-func Sanitize(s string) string {
-	return strings.NewReplacer("\n", " ", "\r", " ", ",", ";").Replace(s)
 }

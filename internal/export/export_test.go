@@ -3,7 +3,6 @@ package export
 import (
 	"bytes"
 	"encoding/json"
-	"strings"
 	"testing"
 
 	"cst/internal/comm"
@@ -25,47 +24,14 @@ func runExample(t *testing.T) *padr.Result {
 	return res
 }
 
-func TestScheduleJSONRoundTrip(t *testing.T) {
+func TestReportJSON(t *testing.T) {
 	res := runExample(t)
-	var buf bytes.Buffer
-	if err := WriteScheduleJSON(&buf, res.Schedule); err != nil {
-		t.Fatal(err)
-	}
-	back, err := UnmarshalSchedule(buf.Bytes())
+	raw, err := json.Marshal(Report(res.Report))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if back.NumRounds() != res.Schedule.NumRounds() {
-		t.Fatalf("rounds %d != %d", back.NumRounds(), res.Schedule.NumRounds())
-	}
-	if back.TotalScheduled() != res.Schedule.TotalScheduled() {
-		t.Fatalf("comms %d != %d", back.TotalScheduled(), res.Schedule.TotalScheduled())
-	}
-	// The reconstructed schedule must still verify against the topology.
-	if err := back.Verify(topology.MustNew(8)); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestUnmarshalScheduleErrors(t *testing.T) {
-	if _, err := UnmarshalSchedule([]byte("{")); err == nil {
-		t.Error("truncated JSON: want error")
-	}
-	bad := ScheduleJSON{N: 4, Rounds: [][][2]int{{{0, 9}}}}
-	raw, _ := json.Marshal(bad)
-	if _, err := UnmarshalSchedule(raw); err == nil {
-		t.Error("invalid endpoints: want error")
-	}
-}
-
-func TestReportJSON(t *testing.T) {
-	res := runExample(t)
-	var buf bytes.Buffer
-	if err := WriteReportJSON(&buf, res.Report); err != nil {
-		t.Fatal(err)
-	}
 	var wire ReportJSON
-	if err := json.Unmarshal(buf.Bytes(), &wire); err != nil {
+	if err := json.Unmarshal(raw, &wire); err != nil {
 		t.Fatal(err)
 	}
 	if wire.Algorithm != "padr" || wire.Mode != "stateful" {
@@ -102,40 +68,15 @@ func TestResultJSON(t *testing.T) {
 	if wire.MaxStoredBytes != res.MaxStoredBytes || wire.UpWords != res.UpWords {
 		t.Fatalf("stats wrong: %+v", wire)
 	}
-}
-
-func TestScheduleCSV(t *testing.T) {
-	res := runExample(t)
-	var buf bytes.Buffer
-	if err := ScheduleCSV(&buf, res.Schedule); err != nil {
-		t.Fatal(err)
+	// The schedule keeps every round and every communication in place.
+	if len(wire.Schedule.Rounds) != res.Schedule.NumRounds() || wire.Schedule.N != res.Schedule.Set.N {
+		t.Fatalf("schedule shape wrong: %+v", wire.Schedule)
 	}
-	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	if lines[0] != "round,src,dst" {
-		t.Fatalf("header %q", lines[0])
-	}
-	if len(lines) != 1+res.Schedule.TotalScheduled() {
-		t.Fatalf("%d lines for %d comms", len(lines), res.Schedule.TotalScheduled())
-	}
-}
-
-func TestReportCSV(t *testing.T) {
-	res := runExample(t)
-	var buf bytes.Buffer
-	if err := ReportCSV(&buf, res.Report); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	if !strings.HasPrefix(out, "node,units,alternations\n") {
-		t.Fatalf("header missing: %q", out)
-	}
-	if strings.Count(out, "\n") < 2 {
-		t.Fatalf("no switch rows: %q", out)
-	}
-}
-
-func TestSanitize(t *testing.T) {
-	if got := Sanitize("a,b\nc\rd"); got != "a;b c d" {
-		t.Fatalf("Sanitize = %q", got)
+	for r, round := range res.Schedule.Rounds {
+		for i, c := range round {
+			if got := wire.Schedule.Rounds[r][i]; got != [2]int{c.Src, c.Dst} {
+				t.Fatalf("round %d comm %d = %v, want %v", r, i, got, c)
+			}
+		}
 	}
 }

@@ -144,16 +144,6 @@ func ByID(id string) (Experiment, bool) {
 	return Experiment{}, false
 }
 
-// RunAll executes every experiment in order.
-func RunAll(w io.Writer, cfg Config) error {
-	for _, e := range All() {
-		if err := RunOne(w, e, cfg); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // RunOne executes a single experiment with its standard header.
 func RunOne(w io.Writer, e Experiment, cfg Config) error {
 	if cfg.Audit != nil && cfg.Trace != nil {

@@ -410,7 +410,7 @@ func replay(t *topology.Tree, plan *Plan, cfg config) *power.Report {
 				N: len(round), DurNS: time.Since(roundStart).Nanoseconds()})
 		}
 	}
-	report := power.CollectSlice(Engine, cfg.mode, plan.Rounds, t, switches)
+	report := power.Collect(Engine, cfg.mode, plan.Rounds, t, switches)
 	if tr != nil {
 		tr.Emit(obs.Event{Type: "run.done", Engine: Engine, Round: -1,
 			N: plan.Rounds, Width: plan.Bound,

@@ -76,24 +76,3 @@ func (m *Monitor) Verify() error {
 	}
 	return nil
 }
-
-// Classify names the observed source-component pattern of a sequence:
-// "idle" (never S), "Q1" (null… s… null…), "Q2" (s… null… s…), or
-// "violation".
-func Classify(seq []ctrl.Use, project func(ctrl.Use) bool) string {
-	if len(seq) == 0 {
-		return "idle"
-	}
-	flips := Flips(seq, project)
-	first := project(seq[0])
-	switch {
-	case flips == 0 && !first:
-		return "idle"
-	case flips <= MaxFlips && !first:
-		return "Q1"
-	case flips <= MaxFlips && first:
-		return "Q2"
-	default:
-		return "violation"
-	}
-}

@@ -180,19 +180,6 @@ func ExponentialBuckets(start, factor float64, n int) []float64 {
 	return out
 }
 
-// LinearBuckets returns n bucket bounds start, start+width, ...
-func LinearBuckets(start, width float64, n int) []float64 {
-	if n < 1 {
-		panic("obs: LinearBuckets needs n >= 1")
-	}
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = start
-		start += width
-	}
-	return out
-}
-
 // DefLatencyBuckets covers 1µs..~8.5s in powers of two — wide enough for a
 // Phase 2 wave on a laptop and for a congested sweep under -race.
 var DefLatencyBuckets = ExponentialBuckets(1e-6, 2, 24)
@@ -468,14 +455,6 @@ func (s HistogramSnapshot) Quantile(q float64) float64 {
 		return 0
 	}
 	return s.Bounds[len(s.Bounds)-1]
-}
-
-// Mean returns the snapshot's mean sample (0 with no samples).
-func (s HistogramSnapshot) Mean() float64 {
-	if s.Count == 0 {
-		return 0
-	}
-	return s.Sum / float64(s.Count)
 }
 
 // Snapshot is a point-in-time copy of a whole registry, used for

@@ -250,18 +250,6 @@ func (t *Tracer) SetSampleRate(rate float64) {
 	t.sampleTh.Store(th)
 }
 
-// SampleRate returns the approximate configured head-sampling probability.
-func (t *Tracer) SampleRate() float64 {
-	if t == nil {
-		return 0
-	}
-	th := t.sampleTh.Load()
-	if th == ^uint64(0) {
-		return 1
-	}
-	return float64(th) / (float64(1<<63) * 2)
-}
-
 // headSample makes one head-sampling decision.
 func (t *Tracer) headSample() bool {
 	th := t.sampleTh.Load()

@@ -199,14 +199,6 @@ func (s SummarySnapshot) Exemplar(q float64) (TraceID, float64) {
 	return best, bestVal
 }
 
-// Mean returns the lifetime mean sample (0 with no samples).
-func (s SummarySnapshot) Mean() float64 {
-	if s.Count == 0 {
-		return 0
-	}
-	return s.Sum / float64(s.Count)
-}
-
 // Summary returns (registering on first use) the named summary. The
 // capacity is kept from the first registration; pass <= 0 for
 // DefSummaryCapacity. Nil registry → nil handle.

@@ -5,10 +5,10 @@ import (
 	"fmt"
 	"time"
 
+	"cst/internal/circuit"
 	"cst/internal/comm"
 	"cst/internal/obs"
 	"cst/internal/padr"
-	"cst/internal/topology"
 	"cst/internal/xbar"
 )
 
@@ -87,11 +87,6 @@ func newDeltaMetrics(r *obs.Registry) deltaMetrics {
 	}
 }
 
-// WithDeltaSessionCap overrides DefaultMaxDeltaSessions.
-func WithDeltaSessionCap(n int) Option {
-	return func(s *Simulator) { s.deltaCap = n }
-}
-
 // DeltaSessions returns how many delta sessions are open.
 func (s *Simulator) DeltaSessions() int { return len(s.sessions) }
 
@@ -129,12 +124,10 @@ func (s *Simulator) applyDelta(id uint64, remove, add []comm.Comm) (DeltaResult,
 		if len(s.sessions) >= s.deltaCap {
 			return DeltaResult{Session: id}, ErrSessionsFull
 		}
-		n := s.tree.Leaves()
 		sess = &deltaSession{
-			xbars: make([]*xbar.Switch, n),
-			set:   &comm.Set{N: n},
+			xbars: circuit.NewSwitches(s.tree),
+			set:   &comm.Set{N: s.tree.Leaves()},
 		}
-		s.tree.EachSwitch(func(nd topology.Node) { sess.xbars[nd] = xbar.NewSwitch() })
 	}
 
 	// Warm path: the engine still trusts its Phase 1 snapshot, so the
@@ -168,7 +161,7 @@ func (s *Simulator) applyDelta(id uint64, remove, add []comm.Comm) (DeltaResult,
 	sess.set.Comms = target
 	if sess.eng == nil {
 		sess.eng, err = padr.New(s.tree, sess.set,
-			padr.WithSharedCrossbars(sess.xbars),
+			padr.WithCrossbars(sess.xbars),
 			// Session engines inherit the simulator's registry, tracer and
 			// fault plan, like the batch engines do.
 			padr.WithRegistry(s.reg),

@@ -127,10 +127,11 @@ func TestDeltaSessionRejects(t *testing.T) {
 // TestDeltaSessionCap pins the 429 path: the cap bounds open sessions,
 // and closing one frees a slot.
 func TestDeltaSessionCap(t *testing.T) {
-	s, err := New(16, WithDeltaSessionCap(2))
+	s, err := New(16)
 	if err != nil {
 		t.Fatal(err)
 	}
+	s.deltaCap = 2
 	for id := uint64(0); id < 2; id++ {
 		if _, err := s.ApplyDelta(id, nil, nil); err != nil {
 			t.Fatalf("session %d: %v", id, err)

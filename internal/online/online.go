@@ -21,6 +21,7 @@ import (
 	"math/rand"
 	"time"
 
+	"cst/internal/circuit"
 	"cst/internal/comm"
 	"cst/internal/fault"
 	"cst/internal/obs"
@@ -195,7 +196,6 @@ type simMetrics struct {
 	errs        *obs.Counter
 	retries     *obs.Counter
 	quarantined *obs.Counter
-	units       *obs.Counter
 	queueLen    *obs.Gauge
 	batchSize   *obs.Histogram
 	latency     *obs.Histogram
@@ -216,7 +216,6 @@ func newSimMetrics(r *obs.Registry) simMetrics {
 		errs:        r.Counter("cst_online_errors_total", "dispatch failures"),
 		retries:     r.Counter("cst_online_retries_total", "batch re-runs after a dispatch failure"),
 		quarantined: r.Counter("cst_online_quarantined_total", "requests expelled after exhausting dispatch attempts"),
-		units:       r.Counter("cst_online_power_units_total", "cumulative power units at Finish"),
 		queueLen:    r.Gauge("cst_online_queue_len", "requests currently queued"),
 		batchSize:   r.Histogram("cst_online_batch_size", "communications per dispatched batch", roundBuckets()),
 		latency:     r.Histogram("cst_online_request_latency_rounds", "completion round minus arrival round", roundBuckets()),
@@ -231,13 +230,12 @@ func New(n int, opts ...Option) (*Simulator, error) {
 	}
 	sim := &Simulator{
 		tree:     t,
-		switches: make([]*xbar.Switch, n),
+		switches: circuit.NewSwitches(t),
 		busyPE:   make([]bool, n),
 		batchSet: &comm.Set{N: n},
 		sessions: make(map[uint64]*deltaSession),
 		deltaCap: DefaultMaxDeltaSessions,
 	}
-	t.EachSwitch(func(nd topology.Node) { sim.switches[nd] = xbar.NewSwitch() })
 	for _, o := range opts {
 		o(sim)
 	}
@@ -518,7 +516,7 @@ func (s *Simulator) runBatch(set *comm.Set, reflected bool) (int, error) {
 	var err error
 	if s.eng == nil {
 		s.eng, err = padr.New(s.tree, set,
-			padr.WithSharedCrossbars(s.switches),
+			padr.WithCrossbars(s.switches),
 			padr.WithReflection(reflected),
 			// The inner engine inherits our registry, tracer and fault
 			// injector, so its cst_padr_* series and per-round events
@@ -623,11 +621,6 @@ func (s *Simulator) Drain() error {
 // Finish closes the run and returns the statistics.
 func (s *Simulator) Finish() *Stats {
 	s.stats.Leftover = len(s.queue)
-	s.stats.Report = power.CollectSlice("online-padr", power.Stateful, s.stats.Rounds, s.tree, s.switches)
-	// Counter semantics stay monotone even if Finish is called twice: bill
-	// only the units accrued since the last call.
-	if delta := int64(s.stats.Report.TotalUnits()) - s.met.units.Value(); delta > 0 {
-		s.met.units.Add(delta)
-	}
+	s.stats.Report = power.Collect("online-padr", power.Stateful, s.stats.Rounds, s.tree, s.switches)
 	return &s.stats
 }

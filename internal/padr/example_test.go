@@ -28,31 +28,6 @@ func ExampleEngine_Run() {
 	// width 2, rounds 2, max units/switch 2
 }
 
-// Drive the scheduler one round at a time from an external loop.
-func ExampleStepper() {
-	set, _ := comm.NestedChain(16, 3)
-	stepper, err := padr.NewStepper(topology.MustNew(16), set)
-	if err != nil {
-		fmt.Println(err)
-		return
-	}
-	for {
-		performed, done, err := stepper.Next()
-		if err != nil {
-			fmt.Println(err)
-			return
-		}
-		if done {
-			break
-		}
-		fmt.Println("round", stepper.Round()-1, "->", performed)
-	}
-	// Output:
-	// round 0 -> [0->15]
-	// round 1 -> [1->14]
-	// round 2 -> [2->13]
-}
-
 // The two selection rules of the reproduction finding (DESIGN.md §6a).
 func ExampleWithSelection() {
 	set := comm.MustParse("..(((()(....))))")

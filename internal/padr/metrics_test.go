@@ -3,10 +3,10 @@ package padr
 import (
 	"testing"
 
+	"cst/internal/circuit"
 	"cst/internal/comm"
 	"cst/internal/obs"
 	"cst/internal/topology"
-	"cst/internal/xbar"
 )
 
 // An instrumented run must publish cst_padr_* series that agree with the
@@ -68,8 +68,7 @@ func TestInstrumentedRun(t *testing.T) {
 func TestInstrumentedSharedCrossbars(t *testing.T) {
 	s := comm.MustParse("(())")
 	tr := topology.MustNew(s.N)
-	switches := map[topology.Node]*xbar.Switch{}
-	tr.EachSwitch(func(n topology.Node) { switches[n] = xbar.NewSwitch() })
+	switches := circuit.NewSwitches(tr)
 	reg := obs.New()
 
 	run := func() int {

@@ -27,6 +27,7 @@ import (
 	"fmt"
 	"time"
 
+	"cst/internal/circuit"
 	"cst/internal/comm"
 	"cst/internal/ctrl"
 	"cst/internal/fault"
@@ -116,47 +117,25 @@ func WithSelection(s Selection) Option {
 // fresh ones. Power meters on them keep accumulating, which is how a
 // sequence of communication sets (e.g. successive segmentable-bus cycles)
 // is billed across runs: configurations held from a previous run stay free.
-// The map must contain one switch per internal node.
-func WithCrossbars(switches map[topology.Node]*xbar.Switch) Option {
-	return func(e *Engine) {
-		for n, sw := range switches {
-			if sw != nil && int(n) < len(e.switches) {
-				e.switches[n] = sw
-			}
-		}
-		e.ownXbars = false
-	}
-}
-
-// WithSharedCrossbars is WithCrossbars for callers that already keep their
-// switches in a dense slice indexed by node (len >= Switches()+1 with a
-// non-nil entry per internal node; entry 0 unused). The slice is adopted by
-// reference — no per-entry copying — which makes it the cheap option for
-// pooled engines that swap crossbar views every dispatch.
-func WithSharedCrossbars(switches []*xbar.Switch) Option {
+// The slice is indexed by node as circuit.NewSwitches lays it out (a
+// non-nil entry per internal node, entry 0 unused) and is adopted by
+// reference, so pooled engines can swap crossbar views every dispatch
+// without copying.
+func WithCrossbars(switches []*xbar.Switch) Option {
 	return func(e *Engine) {
 		e.switches = switches
 		e.ownXbars = false
 	}
 }
 
-// WithReflectedCrossbars is WithCrossbars for a *mirrored* run: the engine
-// schedules a mirrored (originally left-oriented) set, and every connection
-// is applied to the reflected physical switch with left and right swapped.
-// This bills a left-oriented pass to the same physical crossbars as the
-// right-oriented pass, with physically correct attribution. Do not combine
-// with the data-plane recorder: the recorded configurations are in physical
-// coordinates while the schedule is in mirrored coordinates.
-func WithReflectedCrossbars(switches map[topology.Node]*xbar.Switch) Option {
-	return func(e *Engine) {
-		WithCrossbars(switches)(e)
-		e.reflected = true
-	}
-}
-
-// WithReflection toggles the mirrored-run adapter independently of the
-// crossbar source, so a pooled engine can flip orientation between Reset
-// calls without re-copying its switches.
+// WithReflection toggles the mirrored-run adapter: the engine schedules a
+// mirrored (originally left-oriented) set, and every connection is applied
+// to the reflected physical switch with left and right swapped. Combined
+// with WithCrossbars this bills a left-oriented pass to the same physical
+// crossbars as the right-oriented pass, with physically correct
+// attribution; a pooled engine can flip it between Reset calls. Do not
+// combine with the data-plane recorder: the recorded configurations are in
+// physical coordinates while the schedule is in mirrored coordinates.
 func WithReflection(on bool) Option {
 	return func(e *Engine) { e.reflected = on }
 }
@@ -300,20 +279,21 @@ func New(t *topology.Tree, s *comm.Set, opts ...Option) (*Engine, error) {
 		tree:       t,
 		stored:     make([]ctrl.Stored, n),
 		matchedSub: make([]int, n),
-		switches:   make([]*xbar.Switch, n),
-		ownXbars:   true,
 		dstOf:      make([]int, n),
 		leafRole:   make([]ctrl.Up, n),
 		leafDone:   make([]bool, n),
 		commPos:    make([]int32, n),
 		roundDsts:  make([]bool, n),
 	}
-	t.EachSwitch(func(u topology.Node) { e.switches[u] = xbar.NewSwitch() })
 	if err := e.arm(s); err != nil {
 		return nil, err
 	}
 	for _, o := range opts {
 		o(e)
+	}
+	if e.switches == nil {
+		e.switches = circuit.NewSwitches(t)
+		e.ownXbars = true
 	}
 	e.met = newEngineMetrics(e.reg)
 	e.instr = e.reg != nil || e.tracer != nil
@@ -399,9 +379,9 @@ func (e *Engine) scanNested() bool {
 // reusing every arena, so a pooled engine schedules run after run without
 // reallocating. Engine-owned crossbars are returned to factory state
 // (configuration and meters), making a Reset engine observationally
-// identical to a fresh New one; caller-provided crossbars (WithCrossbars /
-// WithSharedCrossbars) are left untouched so cross-run billing keeps
-// accumulating exactly as it would across fresh engines sharing them.
+// identical to a fresh New one; caller-provided crossbars (WithCrossbars)
+// are left untouched so cross-run billing keeps accumulating exactly as it
+// would across fresh engines sharing them.
 // Options passed here are applied on top of the engine's existing ones.
 func (e *Engine) Reset(s *comm.Set, opts ...Option) error {
 	if err := e.arm(s); err != nil {
@@ -657,7 +637,7 @@ func (e *Engine) finalize(p *prepared) (*Result, error) {
 	e.deltaOK = true
 	return &Result{
 		Schedule:        p.schedule,
-		Report:          power.CollectSlice(e.algorithmName(), e.mode, rounds, e.tree, e.switches),
+		Report:          power.Collect(e.algorithmName(), e.mode, rounds, e.tree, e.switches),
 		Width:           p.width,
 		Rounds:          rounds,
 		InitialStored:   p.initial,
@@ -740,66 +720,6 @@ func (e *Engine) finishLight(p *prepared) (int, error) {
 	}
 	e.deltaOK = true
 	return rounds, nil
-}
-
-// Stepper drives Phase 2 one round at a time — for embedding the scheduler
-// in an external simulation loop. Build with NewStepper, call Next until
-// done, then Result.
-type Stepper struct {
-	e   *Engine
-	p   *prepared
-	res *Result
-}
-
-// NewStepper builds an engine and runs Phase 1 immediately.
-func NewStepper(t *topology.Tree, s *comm.Set, opts ...Option) (*Stepper, error) {
-	e, err := New(t, s, opts...)
-	if err != nil {
-		return nil, err
-	}
-	p, err := e.prepare()
-	if err != nil {
-		return nil, err
-	}
-	return &Stepper{e: e, p: p}, nil
-}
-
-// Width returns the set's link width (the target round count).
-func (st *Stepper) Width() int { return st.p.width }
-
-// Round returns the number of rounds executed so far.
-func (st *Stepper) Round() int { return st.p.round }
-
-// Next executes one round. done=true means all communications were already
-// performed and no round ran.
-func (st *Stepper) Next() (performed []comm.Comm, done bool, err error) {
-	if st.res != nil {
-		return nil, true, nil
-	}
-	return st.e.step(st.p)
-}
-
-// Result finishes any remaining rounds and returns the final result. It is
-// idempotent.
-func (st *Stepper) Result() (*Result, error) {
-	if st.res != nil {
-		return st.res, nil
-	}
-	for {
-		_, done, err := st.e.step(st.p)
-		if err != nil {
-			return nil, err
-		}
-		if done {
-			break
-		}
-	}
-	res, err := st.e.finalize(st.p)
-	if err != nil {
-		return nil, err
-	}
-	st.res = res
-	return res, nil
 }
 
 // algorithmName labels power reports: "padr" for the default rule, since

@@ -3,16 +3,10 @@ package padr
 import (
 	"testing"
 
+	"cst/internal/circuit"
 	"cst/internal/comm"
 	"cst/internal/topology"
-	"cst/internal/xbar"
 )
-
-func freshSwitches(t *topology.Tree) map[topology.Node]*xbar.Switch {
-	m := map[topology.Node]*xbar.Switch{}
-	t.EachSwitch(func(n topology.Node) { m[n] = xbar.NewSwitch() })
-	return m
-}
 
 // A mirrored run must land its connections on the reflected physical
 // switches with l and r exchanged: scheduling the mirror of leftward
@@ -20,14 +14,14 @@ func freshSwitches(t *topology.Tree) map[topology.Node]*xbar.Switch {
 // physical switches serving leaves 4..7.
 func TestReflectedRunBillsPhysicalSwitches(t *testing.T) {
 	tr := topology.MustNew(8)
-	switches := freshSwitches(tr)
+	switches := circuit.NewSwitches(tr)
 
 	leftward := comm.NewSet(8, comm.Comm{Src: 7, Dst: 4})
 	mirrored := leftward.Mirror() // 0 -> 3
 	if !mirrored.IsWellNested() {
 		t.Fatal("mirrored set must be well nested")
 	}
-	e, err := New(tr, mirrored, WithReflectedCrossbars(switches))
+	e, err := New(tr, mirrored, WithCrossbars(switches), WithReflection(true))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +87,7 @@ func TestTreeReflect(t *testing.T) {
 // connection per switch regardless of how many times it repeats.
 func TestSharedCrossbarsAcrossOrientations(t *testing.T) {
 	tr := topology.MustNew(16)
-	switches := freshSwitches(tr)
+	switches := circuit.NewSwitches(tr)
 	rightSet := comm.NewSet(16, comm.Comm{Src: 0, Dst: 3})  // left subtree
 	leftSet := comm.NewSet(16, comm.Comm{Src: 15, Dst: 12}) // right subtree, leftward
 	mirrored := leftSet.Mirror()                            // 0->3 on the mirrored line
@@ -105,7 +99,7 @@ func TestSharedCrossbarsAcrossOrientations(t *testing.T) {
 		if _, err := e.Run(); err != nil {
 			t.Fatal(err)
 		}
-		e, err = New(tr, mirrored.Clone(), WithReflectedCrossbars(switches))
+		e, err = New(tr, mirrored.Clone(), WithCrossbars(switches), WithReflection(true))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -114,7 +108,7 @@ func TestSharedCrossbarsAcrossOrientations(t *testing.T) {
 		}
 	}
 	maxUnits := 0
-	for _, sw := range switches {
+	for _, sw := range switches[1:] {
 		if sw.Units() > maxUnits {
 			maxUnits = sw.Units()
 		}

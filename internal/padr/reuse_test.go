@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"cst/internal/circuit"
 	"cst/internal/comm"
 	"cst/internal/power"
 	"cst/internal/topology"
@@ -240,5 +241,38 @@ func TestRunRoundsMatchesRunAllocFree(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("Reset+RunRounds allocated %.0f times; want 0", allocs)
+	}
+}
+
+// TestNewCrossbarAllocs pins how New pays for crossbars: it builds them
+// only when the caller supplies none, and then as one slab. An engine on
+// caller crossbars allocates the same at any N and less than one that
+// builds its own, which allocates at most two more (the switch array and
+// its node view).
+func TestNewCrossbarAllocs(t *testing.T) {
+	allocs := func(n int, shared bool) float64 {
+		tree := topology.MustNew(n)
+		s, err := comm.NestedChain(n, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var opts []Option
+		if shared {
+			opts = append(opts, WithCrossbars(circuit.NewSwitches(tree)))
+		}
+		return testing.AllocsPerRun(20, func() {
+			if _, err := New(tree, s, opts...); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if small, large := allocs(64, true), allocs(1024, true); small != large {
+		t.Errorf("New on caller crossbars: %.0f allocations at N=64, %.0f at N=1024; want equal", small, large)
+	}
+	for _, n := range []int{64, 1024} {
+		if own, shared := allocs(n, false), allocs(n, true); own <= shared || own > shared+2 {
+			t.Errorf("N=%d: New builds its crossbars in %.0f allocations over the %.0f of caller crossbars; want 1 or 2",
+				n, own-shared, shared)
+		}
 	}
 }

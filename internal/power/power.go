@@ -68,36 +68,18 @@ type Report struct {
 }
 
 // Collect builds a Report by reading the meters of the given switches,
-// indexed by node (switches[node] for node in 1..t.Switches()).
-func Collect(algorithm string, mode Mode, rounds int, t *topology.Tree, switches map[topology.Node]*xbar.Switch) *Report {
-	return collect(algorithm, mode, rounds, t, func(n topology.Node) *xbar.Switch { return switches[n] })
-}
-
-// CollectSlice is Collect for engines that keep their switches in a dense
-// slice indexed by node (len >= t.Switches()+1; entry 0 unused).
-func CollectSlice(algorithm string, mode Mode, rounds int, t *topology.Tree, switches []*xbar.Switch) *Report {
-	return collect(algorithm, mode, rounds, t, func(n topology.Node) *xbar.Switch {
-		if int(n) >= len(switches) {
-			return nil
-		}
-		return switches[n]
-	})
-}
-
-func collect(algorithm string, mode Mode, rounds int, t *topology.Tree, at func(topology.Node) *xbar.Switch) *Report {
+// indexed by node as circuit.NewSwitches lays them out (entry 0 unused). A
+// missing or nil entry reads as an idle switch.
+func Collect(algorithm string, mode Mode, rounds int, t *topology.Tree, switches []*xbar.Switch) *Report {
 	r := &Report{Algorithm: algorithm, Mode: mode, Rounds: rounds}
 	r.Switches = make([]SwitchReport, 0, t.Switches())
 	t.EachSwitch(func(n topology.Node) {
-		sw := at(n)
-		if sw == nil {
-			r.Switches = append(r.Switches, SwitchReport{Node: n})
-			return
+		rep := SwitchReport{Node: n}
+		if int(n) < len(switches) && switches[n] != nil {
+			rep.Units = switches[n].Units()
+			rep.Alternations = switches[n].TotalAlternations()
 		}
-		r.Switches = append(r.Switches, SwitchReport{
-			Node:         n,
-			Units:        sw.Units(),
-			Alternations: sw.TotalAlternations(),
-		})
+		r.Switches = append(r.Switches, rep)
 	})
 	return r
 }
@@ -134,46 +116,6 @@ func (r *Report) MaxAlternations() int {
 	return maxa
 }
 
-// MeanUnits returns the average per-switch unit count.
-func (r *Report) MeanUnits() float64 {
-	if len(r.Switches) == 0 {
-		return 0
-	}
-	return float64(r.TotalUnits()) / float64(len(r.Switches))
-}
-
-// ActiveSwitches returns how many switches spent any power at all.
-func (r *Report) ActiveSwitches() int {
-	n := 0
-	for _, s := range r.Switches {
-		if s.Units > 0 {
-			n++
-		}
-	}
-	return n
-}
-
-// UnitsHistogram returns a sorted (units, count) histogram of per-switch
-// spending, omitting idle switches.
-func (r *Report) UnitsHistogram() [][2]int {
-	counts := map[int]int{}
-	for _, s := range r.Switches {
-		if s.Units > 0 {
-			counts[s.Units]++
-		}
-	}
-	keys := make([]int, 0, len(counts))
-	for k := range counts {
-		keys = append(keys, k)
-	}
-	sort.Ints(keys)
-	out := make([][2]int, len(keys))
-	for i, k := range keys {
-		out[i] = [2]int{k, counts[k]}
-	}
-	return out
-}
-
 // Hottest returns the k switches with the highest unit counts, descending.
 func (r *Report) Hottest(k int) []SwitchReport {
 	out := append([]SwitchReport(nil), r.Switches...)
@@ -182,43 +124,6 @@ func (r *Report) Hottest(k int) []SwitchReport {
 		k = len(out)
 	}
 	return out[:k]
-}
-
-// LevelStats aggregates one tree level's spending.
-type LevelStats struct {
-	// Level is the tree level (leaves are 0, root is Levels()).
-	Level int
-	// Switches is the number of switches on the level.
-	Switches int
-	// Units and MaxUnits are the level's total and hottest spend.
-	Units, MaxUnits int
-}
-
-// ByLevel aggregates the report per tree level, root first — showing where
-// in the tree the power goes (chains concentrate spend near the root; the
-// per-level totals shrink geometrically toward the leaves on random sets).
-func (r *Report) ByLevel(t *topology.Tree) []LevelStats {
-	byLevel := map[int]*LevelStats{}
-	for _, s := range r.Switches {
-		lvl := t.Level(s.Node)
-		ls := byLevel[lvl]
-		if ls == nil {
-			ls = &LevelStats{Level: lvl}
-			byLevel[lvl] = ls
-		}
-		ls.Switches++
-		ls.Units += s.Units
-		if s.Units > ls.MaxUnits {
-			ls.MaxUnits = s.Units
-		}
-	}
-	out := make([]LevelStats, 0, len(byLevel))
-	for lvl := t.Levels(); lvl >= 1; lvl-- {
-		if ls := byLevel[lvl]; ls != nil {
-			out = append(out, *ls)
-		}
-	}
-	return out
 }
 
 // Summary renders a one-line digest:

@@ -17,11 +17,11 @@ import (
 	"fmt"
 	"math/rand"
 
+	"cst/internal/circuit"
 	"cst/internal/comm"
 	"cst/internal/padr"
 	"cst/internal/power"
 	"cst/internal/topology"
-	"cst/internal/xbar"
 )
 
 // Bus is a segmentable bus over n PEs. The zero value is unusable; use New.
@@ -47,15 +47,6 @@ func (b *Bus) Split(i int) error {
 		return fmt.Errorf("segbus: no segment switch at gap %d", i)
 	}
 	b.split[i] = true
-	return nil
-}
-
-// Unsplit reconnects the bus between PE i and PE i+1.
-func (b *Bus) Unsplit(i int) error {
-	if i < 0 || i >= b.n-1 {
-		return fmt.Errorf("segbus: no segment switch at gap %d", i)
-	}
-	b.split[i] = false
 	return nil
 }
 
@@ -150,8 +141,7 @@ func RunProgram(t *topology.Tree, b *Bus, cycles []Cycle) (*ProgramResult, error
 	if t.Leaves() != b.n {
 		return nil, fmt.Errorf("segbus: tree has %d leaves, bus has %d PEs", t.Leaves(), b.n)
 	}
-	switches := map[topology.Node]*xbar.Switch{}
-	t.EachSwitch(func(n topology.Node) { switches[n] = xbar.NewSwitch() })
+	switches := circuit.NewSwitches(t)
 	totalRounds := 0
 	for i, cyc := range cycles {
 		set, err := b.CommSet(cyc)
@@ -167,11 +157,7 @@ func RunProgram(t *topology.Tree, b *Bus, cycles []Cycle) (*ProgramResult, error
 			// mirrored (originally left-oriented) pass drives them through
 			// the reflection adapter, so every connection lands on the
 			// physical switch the leftward circuit really uses.
-			opt := padr.WithCrossbars(switches)
-			if pass == 1 {
-				opt = padr.WithReflectedCrossbars(switches)
-			}
-			e, err := padr.New(t, oriented, opt)
+			e, err := padr.New(t, oriented, padr.WithCrossbars(switches), padr.WithReflection(pass == 1))
 			if err != nil {
 				return nil, fmt.Errorf("segbus: cycle %d pass %d: %v", i, pass, err)
 			}

@@ -36,16 +36,7 @@ func TestNewAndSegments(t *testing.T) {
 			t.Fatalf("segments = %v, want %v", segs, want)
 		}
 	}
-	if err := b.Unsplit(5); err != nil {
-		t.Fatal(err)
-	}
-	if got := b.Segments(); len(got) != 2 {
-		t.Fatalf("after unsplit: %v", got)
-	}
 	if err := b.Split(99); err == nil {
-		t.Error("bad gap: want error")
-	}
-	if err := b.Unsplit(-1); err == nil {
 		t.Error("bad gap: want error")
 	}
 }

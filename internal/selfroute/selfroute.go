@@ -17,6 +17,7 @@ package selfroute
 import (
 	"fmt"
 
+	"cst/internal/circuit"
 	"cst/internal/comm"
 	"cst/internal/power"
 	"cst/internal/topology"
@@ -33,19 +34,20 @@ type Header struct {
 // Route configures the circuit for one communication of either orientation
 // by walking the header up the tree: every switch forwards upward while the
 // destination lies outside its subtree, turns at the LCA, and steers
-// downward by comparing the destination with its children's spans. Returns
-// the number of switches configured.
-func Route(t *topology.Tree, switches map[topology.Node]*xbar.Switch, c comm.Comm) (int, error) {
+// downward by comparing the destination with its children's spans.
+// switches is indexed by node (see circuit.NewSwitches). Returns the number
+// of switches configured.
+func Route(t *topology.Tree, switches []*xbar.Switch, c comm.Comm) (int, error) {
 	if c.Src == c.Dst || c.Src < 0 || c.Src >= t.Leaves() || c.Dst < 0 || c.Dst >= t.Leaves() {
 		return 0, fmt.Errorf("selfroute: bad communication %s", c)
 	}
 	hdr := Header{Dst: c.Dst}
 	hops := 0
 	connect := func(u topology.Node, in, out xbar.Side) error {
-		sw := switches[u]
-		if sw == nil {
+		if int(u) >= len(switches) || switches[u] == nil {
 			return fmt.Errorf("selfroute: no switch at node %d", u)
 		}
+		sw := switches[u]
 		if err := sw.Connect(in, out); err != nil {
 			return err
 		}
@@ -158,8 +160,7 @@ func RouteAll(t *topology.Tree, s *comm.Set) (*Result, error) {
 	if !ok {
 		return nil, fmt.Errorf("selfroute: set is not disjoint; use the CSA scheduler")
 	}
-	switches := map[topology.Node]*xbar.Switch{}
-	t.EachSwitch(func(n topology.Node) { switches[n] = xbar.NewSwitch() })
+	switches := circuit.NewSwitches(t)
 	res := &Result{}
 	for _, c := range s.Comms {
 		hops, err := Route(t, switches, c)

@@ -4,21 +4,15 @@ import (
 	"math/rand"
 	"testing"
 
+	"cst/internal/circuit"
 	"cst/internal/comm"
 	"cst/internal/deliver"
 	"cst/internal/topology"
-	"cst/internal/xbar"
 )
-
-func freshSwitches(t *topology.Tree) map[topology.Node]*xbar.Switch {
-	m := map[topology.Node]*xbar.Switch{}
-	t.EachSwitch(func(n topology.Node) { m[n] = xbar.NewSwitch() })
-	return m
-}
 
 func TestRouteSingleRightward(t *testing.T) {
 	tr := topology.MustNew(8)
-	switches := freshSwitches(tr)
+	switches := circuit.NewSwitches(tr)
 	hops, err := Route(tr, switches, comm.Comm{Src: 0, Dst: 7})
 	if err != nil {
 		t.Fatal(err)
@@ -37,7 +31,7 @@ func TestRouteSingleRightward(t *testing.T) {
 // Self-routing handles leftward communications natively — no mirroring.
 func TestRouteLeftward(t *testing.T) {
 	tr := topology.MustNew(8)
-	switches := freshSwitches(tr)
+	switches := circuit.NewSwitches(tr)
 	if _, err := Route(tr, switches, comm.Comm{Src: 6, Dst: 1}); err != nil {
 		t.Fatal(err)
 	}
@@ -50,14 +44,14 @@ func TestRouteLeftward(t *testing.T) {
 
 func TestRouteErrors(t *testing.T) {
 	tr := topology.MustNew(8)
-	switches := freshSwitches(tr)
+	switches := circuit.NewSwitches(tr)
 	if _, err := Route(tr, switches, comm.Comm{Src: 3, Dst: 3}); err == nil {
 		t.Error("self loop: want error")
 	}
 	if _, err := Route(tr, switches, comm.Comm{Src: 0, Dst: 9}); err == nil {
 		t.Error("out of range: want error")
 	}
-	if _, err := Route(tr, map[topology.Node]*xbar.Switch{}, comm.Comm{Src: 0, Dst: 3}); err == nil {
+	if _, err := Route(tr, nil, comm.Comm{Src: 0, Dst: 3}); err == nil {
 		t.Error("missing switches: want error")
 	}
 }
@@ -149,7 +143,7 @@ func TestRouteAllRandomDisjoint(t *testing.T) {
 			t.Fatalf("set %v: %v", s.Comms, err)
 		}
 		// Replay the data plane.
-		switches := freshSwitches(tr)
+		switches := circuit.NewSwitches(tr)
 		for _, c := range s.Comms {
 			if _, err := Route(tr, switches, c); err != nil {
 				t.Fatal(err)

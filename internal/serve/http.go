@@ -159,8 +159,8 @@ func Handler(p *Pool, pl *Planner, reg *obs.Registry, tr *obs.Tracer) http.Handl
 
 // maxBodyBytes caps a /schedule* request body, so an oversized payload is
 // refused before it is held in memory: room for a delta's remove and add
-// lists of DefaultMaxPlanComms comms each, at 64 bytes of JSON per comm.
-const maxBodyBytes = 2 * DefaultMaxPlanComms * 64
+// lists of MaxPlanComms comms each, at 64 bytes of JSON per comm.
+const maxBodyBytes = 2 * MaxPlanComms * 64
 
 // decodeBody decodes one JSON request body read through a
 // http.MaxBytesReader. It returns status 0 on success, 413 for a body over

@@ -23,11 +23,10 @@ import (
 	"cst/internal/wire"
 )
 
-// DefaultMaxPlanComms bounds the communications accepted in one set plan
-// when PlannerConfig leaves MaxComms zero. The wire protocol enforces a
-// similar bound structurally (a set request must fit one frame); this is
-// the HTTP-side equivalent.
-const DefaultMaxPlanComms = 1024
+// MaxPlanComms bounds the communications accepted in one set plan. The
+// wire protocol enforces a similar bound structurally (a set request must
+// fit one frame); this is the HTTP-side equivalent.
+const MaxPlanComms = 1024
 
 // MaxPlanPEs caps the PE count n of a planned set on both transports.
 // Planning costs O(n) whatever the set's size, so n, not the comm count,
@@ -35,21 +34,13 @@ const DefaultMaxPlanComms = 1024
 // at n = 16,384 took about 17 ms and allocated 13.5 MiB, at n = 65,536
 // about 70 ms and 54 MiB, all under the planner's mutex. The cap also
 // bounds the tree cache to log2(MaxPlanPEs) trees (0.4 MiB at the cap),
-// and it leaves 8x room over the n = 2,048 a full DefaultMaxPlanComms set
-// needs.
+// and it leaves 8x room over the n = 2,048 a full MaxPlanComms set needs.
 const MaxPlanPEs = 1 << 14
 
-// PlannerConfig parameterizes a Planner.
+// PlannerConfig parameterizes a Planner. Plans use the hybrid defaults
+// (hybrid.DefaultExactBudget, hybrid.DefaultMaxBatches) and the
+// MaxPlanComms and MaxPlanPEs caps.
 type PlannerConfig struct {
-	// ExactBudget is the branch-and-bound node budget for residual
-	// coloring; <= 0 uses hybrid.DefaultExactBudget.
-	ExactBudget int
-	// MaxBatches bounds the well-nested batches peeled per orientation;
-	// <= 0 uses hybrid.DefaultMaxBatches.
-	MaxBatches int
-	// MaxComms bounds the size of one planned set; <= 0 uses
-	// DefaultMaxPlanComms.
-	MaxComms int
 	// Registry receives the cst_hybrid_* series; nil leaves the planner
 	// uninstrumented.
 	Registry *obs.Registry
@@ -147,9 +138,6 @@ type Planner struct {
 
 // NewPlanner builds a set planner.
 func NewPlanner(cfg PlannerConfig) *Planner {
-	if cfg.MaxComms <= 0 {
-		cfg.MaxComms = DefaultMaxPlanComms
-	}
 	return &Planner{
 		cfg:   cfg,
 		met:   newPlannerMetrics(cfg.Registry),
@@ -188,7 +176,7 @@ func (p *Planner) plan(s *comm.Set, proto uint8, includeRounds bool, sctx obs.Sp
 	if int(proto) < protoCount {
 		p.met.proto[proto].requests.Inc()
 	}
-	if s.Len() > p.cfg.MaxComms {
+	if s.Len() > MaxPlanComms {
 		p.met.failed.Inc()
 		return SetResult{Status: 413, Err: "serve: set too large"}
 	}
@@ -221,8 +209,6 @@ func (p *Planner) plan(s *comm.Set, proto uint8, includeRounds bool, sctx obs.Sp
 		engineTracer = p.cfg.Tracer
 	}
 	plan, err := hybrid.Schedule(tree, s,
-		hybrid.WithExactBudget(p.cfg.ExactBudget),
-		hybrid.WithMaxBatches(p.cfg.MaxBatches),
 		hybrid.WithTracer(engineTracer),
 		hybrid.WithSpanContext(planCtx))
 	p.mu.Unlock()

@@ -190,15 +190,6 @@ func (s *WireServer) newBundle() *connBundle {
 	return b
 }
 
-// ListenAndServe listens on addr and serves until Shutdown.
-func (s *WireServer) ListenAndServe(addr string) error {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	return s.Serve(ln)
-}
-
 // Serve accepts connections on ln until Shutdown closes it. A clean
 // shutdown returns nil; calling Serve on an already-shut-down server
 // returns ErrWireClosed.

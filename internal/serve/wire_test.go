@@ -15,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"cst/internal/comm"
 	"cst/internal/obs"
 	"cst/internal/wire"
 )
@@ -559,7 +560,8 @@ func TestWireSetWithoutPlanner(t *testing.T) {
 
 // TestPlanSizeCap drives set sizes past MaxPlanPEs over both transports,
 // which share one planner: each is refused 413 before a tree is built, so
-// the tree cache stays empty. A set at the cap still plans.
+// the tree cache stays empty. A set at the cap still plans, and so does one
+// of MaxPlanComms communications but not one more.
 func TestPlanSizeCap(t *testing.T) {
 	pl := NewPlanner(PlannerConfig{})
 	addr, p, _, teardown := startWire(t, Config{PEs: 16, Shards: 1}, WireConfig{Planner: pl})
@@ -617,6 +619,19 @@ func TestPlanSizeCap(t *testing.T) {
 	}
 	if trees := cachedTrees(); trees != 1 {
 		t.Fatalf("after a plan at the cap: %d trees cached, want 1", trees)
+	}
+
+	// The comm-count cap: one communication over MaxPlanComms is refused.
+	big := &comm.Set{N: 4 * MaxPlanComms}
+	for i := 0; i <= MaxPlanComms; i++ {
+		big.Comms = append(big.Comms, comm.Comm{Src: 2 * i, Dst: 2*i + 1})
+	}
+	if res := pl.Plan(big, protoWire, false); res.Status != http.StatusRequestEntityTooLarge {
+		t.Errorf("%d comms: status %d, want 413", big.Len(), res.Status)
+	}
+	big.Comms = big.Comms[:MaxPlanComms]
+	if res := pl.Plan(big, protoWire, false); res.Status != http.StatusOK {
+		t.Errorf("%d comms (the cap): status %d (%s), want 200", big.Len(), res.Status, res.Err)
 	}
 }
 

@@ -83,23 +83,10 @@ const DefaultWatchdog = 2 * time.Second
 type Option func(*config)
 
 type config struct {
-	mode     power.Mode
-	sel      padr.Selection
 	reg      *obs.Registry
 	tracer   *obs.Tracer
 	inj      *fault.Injector
 	watchdog time.Duration // 0 = default (only armed with faults), <0 = disabled
-}
-
-// WithMode selects the power accounting mode (default power.Stateful).
-func WithMode(m power.Mode) Option {
-	return func(c *config) { c.mode = m }
-}
-
-// WithSelection picks the matched-pair selection rule (default
-// padr.Greedy), mirroring padr.WithSelection.
-func WithSelection(sel padr.Selection) Option {
-	return func(c *config) { c.sel = sel }
 }
 
 // WithRegistry publishes run metrics (rounds, per-round wall latency,
@@ -275,7 +262,7 @@ type Fabric struct {
 
 // NewFabric spawns the node goroutines for t and returns the ready fabric.
 func NewFabric(t *topology.Tree, opts ...Option) *Fabric {
-	cfg := config{mode: power.Stateful}
+	var cfg config
 	for _, o := range opts {
 		o(&cfg)
 	}
@@ -377,7 +364,7 @@ func (f *Fabric) RunContext(ctx context.Context, s *comm.Set) (*Result, error) {
 	met.runs.Inc()
 	runStart := time.Now()
 	if cfg.tracer != nil {
-		cfg.tracer.Emit(obs.Event{Type: "run.start", Engine: "sim", Round: -1, N: s.Len(), Mode: cfg.mode.String()})
+		cfg.tracer.Emit(obs.Event{Type: "run.start", Engine: "sim", Round: -1, N: s.Len(), Mode: power.Stateful.String()})
 	}
 
 	n := t.Leaves()
@@ -580,7 +567,7 @@ func (f *Fabric) RunContext(ctx context.Context, s *comm.Set) (*Result, error) {
 	if rounds != width {
 		return nil, f.runFailed(fmt.Errorf("sim: took %d rounds for a width-%d set", rounds, width), rounds)
 	}
-	report := power.CollectSlice("padr-sim", cfg.mode, rounds, t, switches)
+	report := power.Collect("padr-sim", power.Stateful, rounds, t, switches)
 	met.switches.Add(int64(len(report.Switches)))
 	for _, sw := range report.Switches {
 		met.units.Add(int64(sw.Units))
@@ -778,7 +765,7 @@ func (f *Fabric) switchLoop(u topology.Node) {
 	lc, rc := topology.Node(2*u), topology.Node(2*u+1)
 	leftUp, rightUp, parentUp := f.up[lc], f.up[rc], f.up[u]
 	parentDown, leftDown, rightDown := f.down[u], f.down[lc], f.down[rc]
-	mode, sel, tracer, inj := f.cfg.mode, f.cfg.sel, f.cfg.tracer, f.cfg.inj
+	tracer, inj := f.cfg.tracer, f.cfg.inj
 	f.met.goroutines.Add(1)
 	if tracer != nil {
 		tracer.Emit(obs.Event{Type: "goroutine.start", Engine: "sim", Round: -1, Node: int(u), PE: -1})
@@ -886,11 +873,8 @@ func (f *Fabric) switchLoop(u topology.Node) {
 					continue
 				}
 			}
-			if mode == power.Stateless {
-				sw.Reset()
-			}
 			before := sw.Config()
-			left, right, err := padr.Step(&st, sw, msg.word, sel)
+			left, right, err := padr.Step(&st, sw, msg.word, padr.Greedy)
 			if err != nil {
 				// A corrupted word must not wedge the wave: forward idle
 				// words so every leaf still reports, and surface the failure

@@ -8,7 +8,6 @@ import (
 	"cst/internal/comm"
 	"cst/internal/obs"
 	"cst/internal/padr"
-	"cst/internal/power"
 	"cst/internal/topology"
 )
 
@@ -111,24 +110,6 @@ func commSet(cs []comm.Comm) map[comm.Comm]bool {
 		m[c] = true
 	}
 	return m
-}
-
-func TestStatelessMode(t *testing.T) {
-	tr := topology.MustNew(64)
-	s, err := comm.NestedChain(64, 12)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := Run(tr, s, WithMode(power.Stateless))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Report.Mode != power.Stateless {
-		t.Fatal("mode not recorded")
-	}
-	if res.Report.MaxUnits() < 12 {
-		t.Fatalf("stateless chain must cost the root >= w units, got %d", res.Report.MaxUnits())
-	}
 }
 
 // Per-round telemetry must be populated on every run, instrumented or not:

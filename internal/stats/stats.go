@@ -1,4 +1,4 @@
-// Package stats provides the shared numeric helpers — mean, extremes,
+// Package stats provides the shared numeric helpers — extremes and
 // quantiles — and the table formatting the experiment harness and perf lab
 // build on. Every consumer that reports a percentile routes through
 // Quantile so the repo has exactly one definition of "p99".
@@ -8,18 +8,6 @@ import (
 	"fmt"
 	"strings"
 )
-
-// Mean returns the arithmetic mean, or 0 for an empty slice.
-func Mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, x := range xs {
-		sum += x
-	}
-	return sum / float64(len(xs))
-}
 
 // Max returns the maximum, or 0 for an empty slice.
 func Max(xs []float64) float64 {
@@ -49,14 +37,8 @@ func Min(xs []float64) float64 {
 	return m
 }
 
-// Percentile returns the p-th percentile (0..100); it is Quantile on the
-// 0..1 scale and shares its nearest-rank semantics.
-func Percentile(xs []float64, p float64) float64 {
-	return Quantile(xs, p/100)
-}
-
-// Table accumulates rows and renders them as GitHub-flavoured markdown or
-// CSV. Columns are fixed at construction.
+// Table accumulates rows and renders them as GitHub-flavoured markdown.
+// Columns are fixed at construction.
 type Table struct {
 	headers []string
 	rows    [][]string
@@ -118,18 +100,6 @@ func (t *Table) Markdown() string {
 	b.WriteString("\n")
 	for _, row := range t.rows {
 		writeRow(row)
-	}
-	return b.String()
-}
-
-// CSV renders the table as comma-separated values with a header line.
-func (t *Table) CSV() string {
-	var b strings.Builder
-	b.WriteString(strings.Join(t.headers, ","))
-	b.WriteString("\n")
-	for _, row := range t.rows {
-		b.WriteString(strings.Join(row, ","))
-		b.WriteString("\n")
 	}
 	return b.String()
 }

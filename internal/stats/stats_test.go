@@ -5,43 +5,16 @@ import (
 	"testing"
 )
 
-func TestMeanMaxMin(t *testing.T) {
+func TestMaxMin(t *testing.T) {
 	xs := []float64{3, 1, 4, 1, 5}
-	if got := Mean(xs); got != 2.8 {
-		t.Errorf("Mean = %v", got)
-	}
 	if got := Max(xs); got != 5 {
 		t.Errorf("Max = %v", got)
 	}
 	if got := Min(xs); got != 1 {
 		t.Errorf("Min = %v", got)
 	}
-	if Mean(nil) != 0 || Max(nil) != 0 || Min(nil) != 0 {
+	if Max(nil) != 0 || Min(nil) != 0 {
 		t.Error("empty slices must read 0")
-	}
-}
-
-func TestPercentile(t *testing.T) {
-	xs := []float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
-	cases := []struct {
-		p    float64
-		want float64
-	}{
-		{0, 1}, {100, 10}, {50, 5}, {90, 9}, {-5, 1}, {200, 10},
-	}
-	for _, c := range cases {
-		if got := Percentile(xs, c.p); got != c.want {
-			t.Errorf("Percentile(%v) = %v, want %v", c.p, got, c.want)
-		}
-	}
-	if Percentile(nil, 50) != 0 {
-		t.Error("empty percentile must be 0")
-	}
-	// Percentile must not reorder the caller's slice.
-	orig := []float64{9, 1, 5}
-	Percentile(orig, 50)
-	if orig[0] != 9 || orig[1] != 1 || orig[2] != 5 {
-		t.Error("Percentile mutated its input")
 	}
 }
 
@@ -61,15 +34,6 @@ func TestTableMarkdown(t *testing.T) {
 	lines := strings.Split(strings.TrimSpace(md), "\n")
 	if len(lines) != 4 {
 		t.Errorf("markdown has %d lines, want 4:\n%s", len(lines), md)
-	}
-}
-
-func TestTableCSV(t *testing.T) {
-	tab := NewTable("a", "b")
-	tab.AddRow("x", 1)
-	csv := tab.CSV()
-	if csv != "a,b\nx,1\n" {
-		t.Errorf("CSV = %q", csv)
 	}
 }
 

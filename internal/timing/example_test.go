@@ -24,7 +24,10 @@ func ExampleMakespan() {
 	for i := range rounds {
 		rounds[i] = rec.Config(i)
 	}
-	b := timing.Makespan(tree, rounds, timing.Default)
+	// One cycle per level, a 4-cycle reconfiguration stall, one transfer
+	// cycle.
+	p := timing.Params{WaveCyclePerLevel: 1, ReconfigCycles: 4, TransferCycles: 1}
+	b := timing.Makespan(tree, rounds, p)
 	fmt.Println(b)
 	// Output:
 	// 22 cycles (wave 12, reconfig 8, transfer 2; 2/2 rounds stalled)

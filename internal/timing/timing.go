@@ -39,10 +39,6 @@ type Params struct {
 	TransferCycles int
 }
 
-// Default is a conventional operating point: one cycle per level, one
-// transfer cycle, and a 4-cycle reconfiguration stall.
-var Default = Params{WaveCyclePerLevel: 1, ReconfigCycles: 4, TransferCycles: 1}
-
 // Breakdown is a priced run.
 type Breakdown struct {
 	// Rounds is the number of rounds priced.

@@ -11,6 +11,10 @@ import (
 	"cst/internal/topology"
 )
 
+// conventional is a conventional operating point: one cycle per level, a
+// 4-cycle reconfiguration stall, one transfer cycle.
+var conventional = Params{WaveCyclePerLevel: 1, ReconfigCycles: 4, TransferCycles: 1}
+
 func snapshot(t *testing.T, tr *topology.Tree, sets ...[]comm.Comm) deliver.RoundConfig {
 	t.Helper()
 	switches := circuit.NewSwitches(tr)
@@ -47,7 +51,7 @@ func TestMakespanHandBuilt(t *testing.T) {
 
 func TestMakespanEmpty(t *testing.T) {
 	tr := topology.MustNew(8)
-	b := Makespan(tr, nil, Default)
+	b := Makespan(tr, nil, conventional)
 	if b.Total != tr.Levels() {
 		t.Fatalf("empty run should cost only the Phase 1 wave: %v", b)
 	}
@@ -77,8 +81,8 @@ func TestHoldVersusDropStalls(t *testing.T) {
 			drop = append(drop, cfgB)
 		}
 	}
-	bh := Makespan(tr, hold, Default)
-	bd := Makespan(tr, drop, Default)
+	bh := Makespan(tr, hold, conventional)
+	bd := Makespan(tr, drop, conventional)
 	if bh.RoundsWithChanges != 2 { // first A, first B
 		t.Fatalf("hold stalls = %d, want 2", bh.RoundsWithChanges)
 	}
@@ -111,7 +115,7 @@ func TestOneShotStallsEveryRound(t *testing.T) {
 	for i := range rounds {
 		rounds[i] = rec.Config(i)
 	}
-	b := Makespan(tr, rounds, Default)
+	b := Makespan(tr, rounds, conventional)
 	if b.RoundsWithChanges != 8 {
 		t.Fatalf("one-shot chain: %d stalled rounds, want 8", b.RoundsWithChanges)
 	}
