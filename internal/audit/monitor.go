@@ -31,11 +31,11 @@ const (
 	// control words different from the one-word-per-link broadcast budget
 	// 2N−2.
 	KindPhase2Budget Kind = "phase-2:word-budget"
-	// KindHybridBound fires when a hybrid composite run took more rounds
-	// than the bound its planner declared (Σ padr batch widths + residual
-	// coloring rounds, carried in run.done's Width field). The composite
-	// may legitimately run *under* the bound — the planner keeps the best
-	// of its strategies — so only the upper direction is a violation.
+	// KindHybridBound fires when a hybrid run took more rounds than the
+	// bound its planner declared (the joint first-fit's round count,
+	// carried in run.done's Width field). The plan may legitimately run
+	// *under* the bound — padr or Exact can beat first-fit — so only the
+	// upper direction is a violation.
 	KindHybridBound Kind = "hybrid:round-bound"
 	// KindRunError mirrors a traced run.error event: the engine itself
 	// declared the run dead (typically a typed *fault.Error naming the
@@ -166,12 +166,12 @@ func checkRun(r *RunAudit, lim Limits) []Violation {
 		return out
 	}
 
-	// Hybrid composite runs obey a different contract: rounds are bounded
-	// above by the planner's declared Σ batch widths + residual coloring
-	// rounds (run.done Width), not pinned to the set's link width, and the
-	// word-budget/per-switch monitors below do not apply — the composite
-	// trace carries switch.config events only (no Phase 2 words), so the
-	// leaf count inferred from the deepest traced node would be wrong.
+	// Hybrid runs obey a different contract: rounds are bounded above by
+	// the planner's declared joint first-fit round count (run.done Width),
+	// not pinned to the set's link width, and the word-budget/per-switch
+	// monitors below do not apply — the hybrid trace carries switch.config
+	// events only (no Phase 2 words), so the leaf count inferred from the
+	// deepest traced node would be wrong.
 	if r.Engine == "hybrid" {
 		if r.Width > 0 && r.Rounds > r.Width {
 			v(KindHybridBound, -1, 0, int64(r.Rounds), int64(r.Width),

@@ -44,10 +44,9 @@ func Configure(t *topology.Tree, switches []*xbar.Switch, c comm.Comm) error {
 }
 
 // ConfigureAny is Configure for either orientation: a left-oriented
-// communication turns right→left at its LCA instead. The hybrid residual
-// rounds need this — a residual coloring round can mix orientations, and
-// its circuits are billed on the same physical switches as the batch
-// phases.
+// communication turns right→left at its LCA instead. The hybrid planner
+// needs this: its rounds mix orientations, and all of them are billed on
+// one set of physical switches.
 func ConfigureAny(t *topology.Tree, switches []*xbar.Switch, c comm.Comm) error {
 	if c.Src == c.Dst {
 		return fmt.Errorf("circuit: %s is a self loop", c)

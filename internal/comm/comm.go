@@ -128,9 +128,13 @@ func (s *Set) IsRightOriented() bool {
 // crossing spans — i.e. whether it corresponds to a balanced well-nested
 // parenthesis expression over the PE line.
 func (s *Set) IsWellNested() bool {
-	if s.Validate() != nil || !s.IsRightOriented() {
-		return false
-	}
+	return s.Validate() == nil && s.IsRightOriented() && s.Nested()
+}
+
+// Nested is IsWellNested without its checks, for a caller that has already
+// validated the set and checked it right oriented: it reports whether no
+// two spans cross.
+func (s *Set) Nested() bool {
 	// Scan left to right, maintaining a stack of open destinations. A source
 	// pushes its destination; a destination must match the innermost open
 	// one.

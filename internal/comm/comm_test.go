@@ -91,7 +91,8 @@ func TestContainsCrossesOrientationAgnostic(t *testing.T) {
 		}
 	}
 	// Mirror invariance: reflecting both spans around the line centre must
-	// not change either predicate (the hybrid peeler relies on this).
+	// not change either predicate (the hybrid planner relies on this when
+	// padr schedules a left-oriented set on the mirrored line).
 	const n = 8
 	mir := func(c Comm) Comm { return Comm{Src: n - 1 - c.Src, Dst: n - 1 - c.Dst} }
 	for _, tc := range cases {

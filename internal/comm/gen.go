@@ -278,8 +278,8 @@ func BitReversal(n int) (*Set, error) {
 // alternating orientations: the spans (i, i+m) for i < m all overlap
 // without nesting, so no two of them can share a well-nested batch, and
 // every second pair is left-oriented. It is the adversarial workload for
-// the hybrid scheduler — the peel produces m singleton-heavy batches while
-// the conflict coloring handles it in width rounds — and, with 2m <= n,
+// the hybrid scheduler, which plans it in its width: the two orientations
+// use opposite link directions, so they share rounds. With 2m <= n it is
 // deterministic for a given (n, m).
 func CrossingPairs(n, m int) (*Set, error) {
 	if m < 1 {

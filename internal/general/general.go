@@ -8,10 +8,11 @@
 // width (maximum per-link congestion) is a clique-size lower bound on the
 // round count. The package provides
 //
-//   - the conflict graph itself,
+//   - the conflict graph itself (the unchecked Graph also takes mixed
+//     orientations, which the hybrid planner colors whole),
 //   - FirstFit: assign each communication (in left-to-right source order)
-//     the first round whose links are all free — fast, no optimality
-//     promise,
+//     the first round whose links are all free, on sched.FirstFit's
+//     per-round occupancy table — fast, no optimality promise,
 //   - Exact: branch-and-bound chromatic search — optimal, exponential worst
 //     case, bounded by an explicit node budget.
 //
@@ -32,9 +33,8 @@ import (
 
 // ConflictGraph is an adjacency list over communication indices (into
 // Set.Comms): i and j are adjacent when their circuits share a directed
-// link. A graph built from a set keeps the set and its width, so FirstFit,
-// Exact and induced subgraphs can reuse it instead of walking the paths
-// again.
+// link. A graph built from a set keeps the set and its width, so Exact
+// reuses it instead of walking the paths again.
 type ConflictGraph struct {
 	// Adj[i] lists the neighbours of communication i, ascending.
 	Adj [][]int
@@ -68,23 +68,33 @@ func (g *ConflictGraph) Edges() int {
 
 // Conflicts builds the conflict graph of a valid right-oriented set.
 func Conflicts(t *topology.Tree, s *comm.Set) (*ConflictGraph, error) {
-	if t.Leaves() != s.N {
-		return nil, fmt.Errorf("general: tree has %d leaves, set has N=%d", t.Leaves(), s.N)
-	}
-	if err := s.Validate(); err != nil {
+	if err := check(t, s); err != nil {
 		return nil, err
-	}
-	if !s.IsRightOriented() {
-		return nil, fmt.Errorf("general: set must be right oriented (decompose two-sided sets first)")
 	}
 	return Graph(t, s), nil
 }
 
-// Graph builds the conflict graph of a set that already passes the checks
-// Conflicts makes — right oriented, valid, on t's leaf count — such as a
-// comm.Decompose half of a validated set. It skips those checks, so a
-// planner validates its input once. The graph keeps s, which must not
-// change while the graph is in use.
+// check makes the input checks of the exported entry points: s is valid,
+// right oriented and on t's leaf count.
+func check(t *topology.Tree, s *comm.Set) error {
+	if t.Leaves() != s.N {
+		return fmt.Errorf("general: tree has %d leaves, set has N=%d", t.Leaves(), s.N)
+	}
+	if err := s.Validate(); err != nil {
+		return err
+	}
+	if !s.IsRightOriented() {
+		return fmt.Errorf("general: set must be right oriented (decompose two-sided sets first)")
+	}
+	return nil
+}
+
+// Graph builds the conflict graph of a valid set on t's leaf count, of
+// either orientation or both: a circuit's links are directed, so a
+// left-oriented circuit conflicts only with circuits using a link in the
+// same direction. It skips the checks Conflicts makes, so a planner that
+// has validated a mixed set colors it whole. The graph keeps s, which must
+// not change while the graph is in use.
 func Graph(t *topology.Tree, s *comm.Set) *ConflictGraph {
 	n := s.Len()
 	// links[off[i]:off[i+1]] are the directed links of circuit i. A valid
@@ -137,65 +147,21 @@ func Graph(t *topology.Tree, s *comm.Set) *ConflictGraph {
 	return g
 }
 
-// Induced returns the conflict graph of the communications at the given
-// distinct indices of g's set: vertex k of the result is communication
-// keep[k]. Conflicts are pairwise, so the adjacency comes from g without
-// walking a circuit; only the subset's width, Exact's lower bound, is
-// recomputed on t. g must come from Conflicts, Graph or Induced.
-func (g *ConflictGraph) Induced(t *topology.Tree, keep []int) *ConflictGraph {
-	sub := &comm.Set{N: g.set.N, Comms: make([]comm.Comm, len(keep))}
-	pos := make([]int, len(g.Adj)) // pos[v] = k+1 when v = keep[k]
-	for k, v := range keep {
-		sub.Comms[k] = g.set.Comms[v]
-		pos[v] = k + 1
-	}
-	// Size each list first; visiting k in ascending order then appends to
-	// every list in ascending order.
-	deg := make([]int, len(keep))
-	for k, v := range keep {
-		for _, nb := range g.Adj[v] {
-			if pos[nb] > 0 {
-				deg[k]++
-			}
-		}
-	}
-	adj := carve[int](deg)
-	for k, v := range keep {
-		for _, nb := range g.Adj[v] {
-			if p := pos[nb]; p > 0 {
-				adj[p-1] = append(adj[p-1], k)
-			}
-		}
-	}
-	// A subset of a valid set on t is valid on t: the walk cannot fail.
-	width, _ := sub.Width(t)
-	return &ConflictGraph{Adj: adj, set: sub, width: width}
-}
-
 // FirstFit schedules the set by scanning communications in left-to-right
 // source order and placing each in the lowest-numbered round where all of
-// its links are free. The result is a valid schedule with at most
-// MaxDegree+1 rounds; on well-nested sets it uses exactly the width.
+// its links are free (sched.FirstFit's occupancy table; no conflict graph
+// is built). The result is a valid schedule with at most MaxDegree+1
+// rounds; on well-nested sets it uses exactly the width.
 func FirstFit(t *topology.Tree, s *comm.Set) (*sched.Schedule, error) {
-	g, err := Conflicts(t, s)
-	if err != nil {
+	if err := check(t, s); err != nil {
 		return nil, err
 	}
-	return g.FirstFit(), nil
-}
-
-// FirstFit is the package-level FirstFit on the graph's own set; g must
-// come from Conflicts, Graph or Induced.
-func (g *ConflictGraph) FirstFit() *sched.Schedule {
-	comms := g.set.Comms
-	order := identity(len(comms))
-	// Sources are distinct in a valid set, so the order is total.
-	slices.SortFunc(order, func(a, b int) int { return cmp.Compare(comms[a].Src, comms[b].Src) })
-	return scheduleFromColors(g.set, assignGreedy(g, order))
+	ff, _ := sched.FirstFit(t, s)
+	return ff, nil
 }
 
 // Exact finds a minimum-round schedule by branch-and-bound chromatic
-// search, seeded with the FirstFit solution as the incumbent. nodeBudget
+// search, seeded with a greedy coloring as the incumbent. nodeBudget
 // bounds the search-tree size; when exhausted, Exact returns the best
 // schedule found so far along with ErrBudget.
 func Exact(t *topology.Tree, s *comm.Set, nodeBudget int) (*sched.Schedule, error) {
@@ -207,7 +173,7 @@ func Exact(t *topology.Tree, s *comm.Set, nodeBudget int) (*sched.Schedule, erro
 }
 
 // Exact is the package-level Exact on the graph's own set, bounded below
-// by the set's width; g must come from Conflicts, Graph or Induced.
+// by the set's width; g must come from Conflicts or Graph.
 func (g *ConflictGraph) Exact(nodeBudget int) (*sched.Schedule, error) {
 	s := g.set
 	if s.Len() == 0 {
@@ -228,7 +194,7 @@ func (g *ConflictGraph) Exact(nodeBudget int) (*sched.Schedule, error) {
 	if improved, _ := bb.search(cur, 0, 0, bestK, g.width); improved != nil {
 		best = improved
 	}
-	schedule := scheduleFromColors(s, best)
+	schedule := sched.FromRounds(s, best)
 	if bb.exhausted {
 		return schedule, ErrBudget
 	}
@@ -364,32 +330,4 @@ func numColors(colors []int) int {
 		}
 	}
 	return maxc + 1
-}
-
-// scheduleFromColors groups communications by color into rounds.
-func scheduleFromColors(s *comm.Set, colors []int) *sched.Schedule {
-	sizes := make([]int, numColors(colors))
-	for _, c := range colors {
-		sizes[c]++
-	}
-	rounds := carve[comm.Comm](sizes)
-	for i, c := range colors {
-		rounds[c] = append(rounds[c], s.Comms[i])
-	}
-	return &sched.Schedule{Set: s.Clone(), Rounds: rounds}
-}
-
-// carve returns empty slices with capacities sizes, all cut from one
-// backing array, so filling them by append allocates nothing more.
-func carve[T any](sizes []int) [][]T {
-	total := 0
-	for _, k := range sizes {
-		total += k
-	}
-	flat := make([]T, total)
-	out := make([][]T, len(sizes))
-	for i, k := range sizes {
-		out[i], flat = flat[:0:k], flat[k:]
-	}
-	return out
 }

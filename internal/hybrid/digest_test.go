@@ -2,13 +2,11 @@ package hybrid
 
 import (
 	"crypto/sha256"
-	"errors"
 	"fmt"
 	"math/rand"
 	"testing"
 
 	"cst/internal/comm"
-	"cst/internal/general"
 	"cst/internal/power"
 	"cst/internal/topology"
 )
@@ -17,14 +15,15 @@ import (
 // any field of any of those plans changes it, so a change to the planner
 // that must keep its plans (a faster graph build, a cheaper replay) keeps
 // this constant.
-const planDigest = "2362067a290f7a13bff87abbe9cd819af364624999c144b6b019650601b04e2c"
+const planDigest = "c3d69001e5c03b2fefdb3972eff64dab65faac11075f33aab66fef4757b7be0f"
 
-// hardBlock is a width-2 set on 16 PEs whose Welsh–Powell coloring needs 3
-// rounds, so Exact's branch-and-bound search starts on it and a tiny node
-// budget runs out (general's TestIncumbentKeptOnBudget uses it too).
+// hardBlock is a width-2 mixed set on 16 PEs whose source-order first-fit
+// needs 3 rounds, so the planner runs Exact on it, and whose Welsh–Powell
+// coloring misses the width too, so the branch-and-bound search starts and
+// a tiny node budget runs out. Its optimum is 2 rounds.
 var hardBlock = []comm.Comm{
-	{Src: 4, Dst: 7}, {Src: 9, Dst: 15}, {Src: 5, Dst: 13}, {Src: 1, Dst: 6},
-	{Src: 8, Dst: 11}, {Src: 0, Dst: 3}, {Src: 2, Dst: 10}, {Src: 12, Dst: 14},
+	{Src: 10, Dst: 15}, {Src: 14, Dst: 1}, {Src: 12, Dst: 9}, {Src: 6, Dst: 2},
+	{Src: 8, Dst: 11}, {Src: 3, Dst: 4}, {Src: 0, Dst: 13}, {Src: 7, Dst: 5},
 }
 
 // budgetSet draws a set on 64 PEs from four aligned 16-PE blocks: each
@@ -58,9 +57,10 @@ func budgetSet(rng *rand.Rand) *comm.Set {
 
 // TestPlanDigest pins the planner's output exactly. It hashes every Plan
 // field, the schedule's set and Schedule.String() over seeded
-// RandomTwoSided sets at N=16, 64 and 256 (default options, more peeled
-// batches, stateless billing) and over sets built to exhaust a tiny exact
-// budget, so the ErrBudget incumbent path is hashed too.
+// RandomTwoSided sets at N=16, 64 and 256 (default options, stateless
+// billing), over random well-nested sets and their mirror images (the
+// padr path), and over sets built to exhaust a tiny exact budget, so the
+// ErrBudget incumbent path is hashed too.
 func TestPlanDigest(t *testing.T) {
 	random := func(n, maxComms int) func(*rand.Rand) *comm.Set {
 		return func(rng *rand.Rand) *comm.Set {
@@ -70,6 +70,16 @@ func TestPlanDigest(t *testing.T) {
 			}
 			return s
 		}
+	}
+	wellNested := func(rng *rand.Rand) *comm.Set {
+		s, err := comm.RandomWellNested(rng, 64, 1+rng.Intn(32))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rng.Intn(2) == 0 {
+			return s.Mirror()
+		}
+		return s
 	}
 	h := sha256.New()
 	exhausted := 0
@@ -82,7 +92,7 @@ func TestPlanDigest(t *testing.T) {
 		{n: 16, sets: 300, gen: random(16, 8)},
 		{n: 64, sets: 300, gen: random(64, 32)},
 		{n: 256, sets: 40, gen: random(256, 64)},
-		{n: 64, sets: 100, gen: random(64, 32), opt: WithMaxBatches(3)},
+		{n: 64, sets: 100, gen: wellNested},
 		{n: 64, sets: 100, gen: random(64, 32), opt: WithMode(power.Stateless)},
 		{n: 64, sets: 60, gen: budgetSet, budget: 2},
 	} {
@@ -98,24 +108,19 @@ func TestPlanDigest(t *testing.T) {
 			if err != nil {
 				t.Fatalf("N=%d set %v: %v", shape.n, s.Comms, err)
 			}
-			fmt.Fprintf(h, "%d %d %d %s %d %d %d %d %d %t\n%+v\n%v\n%s",
-				p.Rounds, p.Width, p.Bound, p.Strategy, p.Batches, p.BatchRounds,
-				p.ResidualComms, p.ResidualRounds, p.FirstFitRounds, p.Exhausted,
+			fmt.Fprintf(h, "%d %d %d %s %d %d %d %t\n%+v\n%v\n%s",
+				p.Rounds, p.Width, p.Bound, p.Strategy, p.Batches,
+				p.ResidualComms, p.FirstFitRounds, p.Exhausted,
 				p.Report, p.Schedule.Set.Comms, p.Schedule.String())
-			if shape.budget > 0 {
-				right, leftMirrored := comm.Decompose(s)
-				for _, half := range []*comm.Set{right, leftMirrored} {
-					if _, err := general.Exact(tr, half, shape.budget); errors.Is(err, general.ErrBudget) {
-						exhausted++
-					}
-				}
+			if shape.budget > 0 && p.Exhausted {
+				exhausted++
 			}
 		}
 	}
 	if exhausted == 0 {
-		t.Error("no half exhausted the exact budget; the incumbent path went unhashed")
+		t.Error("no plan exhausted the exact budget; the incumbent path went unhashed")
 	}
-	t.Logf("%d halves exhausted the exact budget", exhausted)
+	t.Logf("%d plans exhausted the exact budget", exhausted)
 	if got := fmt.Sprintf("%x", h.Sum(nil)); got != planDigest {
 		t.Errorf("plan digest %s, want %s: some plan changed", got, planDigest)
 	}

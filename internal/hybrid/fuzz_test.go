@@ -8,11 +8,13 @@ import (
 )
 
 // FuzzHybridSchedule feeds raw byte pairs to the planner as communication
-// endpoints. Invalid sets (role clashes, self loops) must be rejected with
-// an error; every accepted set must yield a composite schedule that
-// verifies against the topology and books each PE into at most one
-// communication per round, with the set's width and the FirstFit
-// comparator that general.FirstFit computes on each Decompose half.
+// endpoints, under an exact budget the second argument picks (small ones
+// run out). Invalid sets (role clashes, self loops) must be rejected with
+// an error; every accepted set must yield a schedule that verifies against
+// the topology and books each PE into at most one communication per round,
+// with the set's width, the joint first-fit as its comparator and bound,
+// and — unless Exact ran out of budget — no more rounds than FirstFit on
+// the Decompose halves, which general.FirstFit computes.
 func FuzzHybridSchedule(f *testing.F) {
 	f.Add([]byte{0, 5, 3, 8, 12, 6, 14, 9}, uint8(1))
 	f.Add([]byte{0, 8, 1, 9, 2, 10, 3, 11}, uint8(2))
@@ -20,15 +22,14 @@ func FuzzHybridSchedule(f *testing.F) {
 	f.Add([]byte{}, uint8(1))
 	const n = 16
 	tree := topology.MustNew(n)
-	f.Fuzz(func(t *testing.T, pairs []byte, maxBatches uint8) {
+	f.Fuzz(func(t *testing.T, pairs []byte, budget uint8) {
 		s := &comm.Set{N: n}
 		for i := 0; i+1 < len(pairs) && len(s.Comms) < n/2; i += 2 {
 			s.Comms = append(s.Comms, comm.Comm{
 				Src: int(pairs[i]) % n, Dst: int(pairs[i+1]) % n,
 			})
 		}
-		plan, err := Schedule(tree, s,
-			WithMaxBatches(1+int(maxBatches%4)), WithExactBudget(5_000))
+		plan, err := Schedule(tree, s, WithExactBudget(1+int(budget)*40))
 		if s.Validate() != nil {
 			if err == nil {
 				t.Fatalf("invalid set %v accepted", s.Comms)
@@ -41,17 +42,18 @@ func FuzzHybridSchedule(f *testing.F) {
 		if err := plan.Schedule.Verify(tree); err != nil {
 			t.Fatalf("set %v: %v", s.Comms, err)
 		}
-		if plan.Rounds > plan.Bound {
-			t.Fatalf("set %v: %d rounds exceed bound %d", s.Comms, plan.Rounds, plan.Bound)
-		}
-		// The planner colors each half on one shared conflict graph; the
-		// exported, validating entry points must agree with it.
 		if w, err := s.Width(tree); err != nil || plan.Width != w {
 			t.Fatalf("set %v: plan width %d, set width %d (%v)", s.Comms, plan.Width, w, err)
 		}
-		if ff := ffComposite(t, tree, s); plan.FirstFitRounds != ff {
-			t.Fatalf("set %v: plan FirstFit comparator %d, general.FirstFit on the halves %d",
-				s.Comms, plan.FirstFitRounds, ff)
+		if ff := jointFirstFit(t, tree, s); plan.FirstFitRounds != ff || plan.Bound != ff {
+			t.Fatalf("set %v: first-fit comparator %d, bound %d, joint first-fit %d",
+				s.Comms, plan.FirstFitRounds, plan.Bound, ff)
+		}
+		if plan.Rounds < plan.Width || plan.Rounds > plan.Bound {
+			t.Fatalf("set %v: %d rounds outside [width %d, bound %d]", s.Comms, plan.Rounds, plan.Width, plan.Bound)
+		}
+		if ff := ffComposite(t, tree, s); plan.Rounds > ff && !plan.Exhausted {
+			t.Fatalf("set %v: %d rounds exceed FirstFit on the halves %d", s.Comms, plan.Rounds, ff)
 		}
 		// No PE double-booking: within one round every PE appears in at
 		// most one communication, in either role. (Verify checks link

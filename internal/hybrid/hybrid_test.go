@@ -1,6 +1,7 @@
 package hybrid
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 
@@ -12,8 +13,8 @@ import (
 	"cst/internal/topology"
 )
 
-// ffComposite is the comparator the plan must never exceed: FirstFit on
-// each decomposition half, phases concatenated.
+// ffComposite is FirstFit on each decomposition half, phases concatenated:
+// a valid schedule of the set, so an optimal plan never exceeds it.
 func ffComposite(t *testing.T, tr *topology.Tree, s *comm.Set) int {
 	t.Helper()
 	right, leftMirrored := comm.Decompose(s)
@@ -31,26 +32,132 @@ func ffComposite(t *testing.T, tr *topology.Tree, s *comm.Set) int {
 	return total
 }
 
+// jointFirstFit is a test-local first-fit of the whole set: communications
+// in source order, each into the first round whose directed links it finds
+// free. Plan.FirstFitRounds must equal its round count.
+func jointFirstFit(t *testing.T, tr *topology.Tree, s *comm.Set) int {
+	t.Helper()
+	var rounds []map[topology.Edge]bool
+	for _, c := range s.Sorted() {
+		path, err := tr.PathEdges(c.Src, c.Dst)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := 0
+		for ; r < len(rounds); r++ {
+			free := true
+			for _, e := range path {
+				free = free && !rounds[r][e]
+			}
+			if free {
+				break
+			}
+		}
+		if r == len(rounds) {
+			rounds = append(rounds, map[topology.Edge]bool{})
+		}
+		for _, e := range path {
+			rounds[r][e] = true
+		}
+	}
+	return len(rounds)
+}
+
+// A one-orientation well-nested set, right oriented or mirrored, goes
+// through padr and takes exactly its width.
 func TestScheduleWellNestedUsesCircuitWidth(t *testing.T) {
 	tr := topology.MustNew(16)
-	s := comm.MustParse("((()))(())......")
-	w, err := s.Width(tr)
-	if err != nil {
-		t.Fatal(err)
+	right := comm.MustParse("((()))(())......")
+	for _, s := range []*comm.Set{right, right.Mirror()} {
+		w, err := s.Width(tr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		plan, err := Schedule(tr, s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if plan.Strategy != StrategyPeel || plan.Batches != 1 || plan.ResidualComms != 0 {
+			t.Fatalf("well-nested set %v: strategy=%s batches=%d residual=%d",
+				s.Comms, plan.Strategy, plan.Batches, plan.ResidualComms)
+		}
+		if plan.Rounds != w || plan.Bound != w {
+			t.Fatalf("well-nested set %v took %d rounds (bound %d), width %d", s.Comms, plan.Rounds, plan.Bound, w)
+		}
+		if err := plan.Schedule.Verify(tr); err != nil {
+			t.Fatal(err)
+		}
 	}
+}
+
+// One round holds both orientations wherever their links are disjoint:
+// 0→8 and 12→4 on N=64 share no directed link, so the width-1 set plans in
+// one round.
+func TestMixedOrientationsShareARound(t *testing.T) {
+	tr := topology.MustNew(64)
+	s := comm.NewSet(64, comm.Comm{Src: 0, Dst: 8}, comm.Comm{Src: 12, Dst: 4})
 	plan, err := Schedule(tr, s)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if plan.Strategy != StrategyPeel || plan.Batches != 1 || plan.ResidualComms != 0 {
-		t.Fatalf("well-nested set: strategy=%s batches=%d residual=%d",
-			plan.Strategy, plan.Batches, plan.ResidualComms)
+	if plan.Width != 1 || plan.Rounds != 1 || plan.Bound != 1 {
+		t.Fatalf("{0→8, 12→4}: width %d, rounds %d, bound %d; want 1, 1, 1", plan.Width, plan.Rounds, plan.Bound)
 	}
-	if plan.Rounds != w {
-		t.Fatalf("well-nested set took %d rounds, width %d", plan.Rounds, w)
+	if plan.Strategy != StrategyColoring || plan.Batches != 0 || plan.ResidualComms != 2 {
+		t.Fatalf("strategy=%s batches=%d residual=%d", plan.Strategy, plan.Batches, plan.ResidualComms)
 	}
-	if err := plan.Schedule.Verify(tr); err != nil {
-		t.Fatal(err)
+}
+
+// Pairwise-crossing sets with alternating orientations plan in their width:
+// the two orientations use opposite link directions, so they share rounds.
+func TestCrossingPairsPlanInWidth(t *testing.T) {
+	for _, n := range []int{8, 32, 128} {
+		tr := topology.MustNew(n)
+		for m := 1; 2*m <= n; m *= 2 {
+			s, err := comm.CrossingPairs(n, m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			plan, err := Schedule(tr, s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if plan.Rounds != plan.Width {
+				t.Errorf("CrossingPairs(%d, %d): %d rounds, width %d", n, m, plan.Rounds, plan.Width)
+			}
+		}
+	}
+}
+
+// The plan quality of servebench's probe: its 1,024 sets drawn the same way
+// plan in about their width, and the power bill per communication stays
+// where the joint coloring puts it.
+func TestProbePlanQuality(t *testing.T) {
+	tr := topology.MustNew(64)
+	rng := rand.New(rand.NewSource(42*7919 - 17))
+	ratio, units, comms := 0.0, 0, 0
+	const sets = 1024
+	for i := 0; i < sets; i++ {
+		s, err := comm.RandomTwoSided(rng, 64, 16)
+		if err != nil {
+			t.Fatal(err)
+		}
+		plan, err := Schedule(tr, s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ratio += float64(plan.Rounds) / float64(plan.Width)
+		units += plan.Report.TotalUnits()
+		comms += s.Len()
+	}
+	ratio /= sets
+	perComm := float64(units) / float64(comms)
+	t.Logf("mean rounds/width %.4f, units per comm %.4f", ratio, perComm)
+	if ratio > 1.01 {
+		t.Errorf("mean rounds/width %.4f, want <= 1.01", ratio)
+	}
+	if perComm > 7.25 {
+		t.Errorf("units per comm %.4f, want <= 7.25", perComm)
 	}
 }
 
@@ -131,19 +238,23 @@ func TestScheduleEmptySet(t *testing.T) {
 	}
 }
 
+// An invalid set is refused with an error wrapping ErrInvalidSet, which the
+// serving planner maps to 400.
 func TestScheduleRejectsInvalid(t *testing.T) {
 	tr := topology.MustNew(8)
-	if _, err := Schedule(tr, comm.NewSet(8, comm.Comm{Src: 1, Dst: 1})); err == nil {
-		t.Fatal("self loop accepted")
+	if _, err := Schedule(tr, comm.NewSet(8, comm.Comm{Src: 1, Dst: 1})); !errors.Is(err, ErrInvalidSet) {
+		t.Fatalf("self loop: %v, want ErrInvalidSet", err)
 	}
-	if _, err := Schedule(tr, comm.NewSet(16, comm.Comm{Src: 0, Dst: 9})); err == nil {
-		t.Fatal("leaf-count mismatch accepted")
+	if _, err := Schedule(tr, comm.NewSet(16, comm.Comm{Src: 0, Dst: 9})); !errors.Is(err, ErrInvalidSet) {
+		t.Fatalf("leaf-count mismatch: %v, want ErrInvalidSet", err)
 	}
 }
 
-// The satellite differential suite: on 500 seeded arbitrary two-sided
-// sets, the hybrid plan verifies, respects the width lower bound, never
-// exceeds its declared bound, and never exceeds the FirstFit comparator.
+// The differential suite: on 500 seeded arbitrary two-sided sets, the
+// hybrid plan verifies, respects the width lower bound, never exceeds its
+// declared bound, reports the joint first-fit's round count, and — unless
+// Exact ran out of budget — never exceeds FirstFit on the decomposition
+// halves, a valid coloring the optimum cannot exceed.
 func TestDifferentialHybridVsFirstFit(t *testing.T) {
 	tr := topology.MustNew(32)
 	rng := rand.New(rand.NewSource(99))
@@ -159,10 +270,13 @@ func TestDifferentialHybridVsFirstFit(t *testing.T) {
 		if err := plan.Schedule.Verify(tr); err != nil {
 			t.Fatalf("trial %d (%v): %v", trial, s.Comms, err)
 		}
-		ff := ffComposite(t, tr, s)
-		if plan.Rounds > ff {
-			t.Fatalf("trial %d (%v): hybrid %d rounds > FirstFit %d",
+		if ff := ffComposite(t, tr, s); plan.Rounds > ff && !plan.Exhausted {
+			t.Fatalf("trial %d (%v): hybrid %d rounds > FirstFit on the halves %d",
 				trial, s.Comms, plan.Rounds, ff)
+		}
+		if ff := jointFirstFit(t, tr, s); plan.FirstFitRounds != ff || plan.Bound != ff {
+			t.Fatalf("trial %d (%v): first-fit comparator %d, bound %d, joint first-fit %d",
+				trial, s.Comms, plan.FirstFitRounds, plan.Bound, ff)
 		}
 		if plan.Rounds > plan.Bound {
 			t.Fatalf("trial %d: %d rounds > declared bound %d", trial, plan.Rounds, plan.Bound)

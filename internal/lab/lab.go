@@ -29,11 +29,11 @@ const (
 	EnginePADR   = "padr"
 	EngineSim    = "sim"
 	EngineOnline = "online"
-	// EngineHybrid is the composite planner for arbitrary (possibly
-	// non-well-nested) sets: decompose, peel well-nested batches, color
-	// the residual. It has no closed-form round count — its guarantee is
-	// an inequality (never worse than pure FirstFit coloring), so its
-	// rounds are scored against a bound, not an exact match.
+	// EngineHybrid is the planner for arbitrary (possibly
+	// non-well-nested) sets: one coloring of the whole set over directed
+	// tree links. It has no closed-form round count — its guarantee is an
+	// inequality (never worse than the joint first-fit), so its rounds
+	// are scored against a bound, not an exact match.
 	EngineHybrid = "hybrid"
 )
 

@@ -131,7 +131,7 @@ type SpanRecord struct {
 	// transport): the tree is complete locally even though the parent span
 	// lives in another process.
 	Root   bool
-	Name   string // e.g. "serve.request", "hybrid.peel"
+	Name   string // e.g. "serve.request", "hybrid.color"
 	Engine string // emitting layer: "serve", "online", "padr", "hybrid"
 	Start  time.Time
 	End    time.Time

@@ -91,7 +91,7 @@ func (e *Engine) Apply(d Delta) (*Result, error) {
 		return nil, err
 	}
 	for {
-		_, done, err := e.step(p)
+		done, err := e.step(p)
 		if err != nil {
 			return nil, err
 		}

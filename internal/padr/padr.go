@@ -555,15 +555,15 @@ func (e *Engine) prepareInto(p *prepared, light bool) error {
 	return nil
 }
 
-// step executes one Phase 2 round against prepared state; done reports
-// whether all communications have been performed (in which case no round
-// ran).
-func (e *Engine) step(p *prepared) (performed []comm.Comm, done bool, err error) {
+// step executes one Phase 2 round against prepared state, appending it to
+// p.schedule when the run keeps one; done reports whether all
+// communications have been performed (in which case no round ran).
+func (e *Engine) step(p *prepared) (done bool, err error) {
 	if !e.pendingWork() {
-		return nil, true, nil
+		return true, nil
 	}
 	if p.round >= p.maxRounds {
-		return nil, false, e.fail(fmt.Errorf("padr: exceeded %d rounds for a width-%d set; pending work remains", p.round, p.width))
+		return false, e.fail(fmt.Errorf("padr: exceeded %d rounds for a width-%d set; pending work remains", p.round, p.width))
 	}
 	e.curRound = p.round
 	if e.instr {
@@ -582,12 +582,12 @@ func (e *Engine) step(p *prepared) (performed []comm.Comm, done bool, err error)
 			}
 		}
 	}
-	performed, err = e.round()
+	performed, err := e.round()
 	if err != nil {
-		return nil, false, e.fail(fmt.Errorf("padr: round %d: %w", p.round, err))
+		return false, e.fail(fmt.Errorf("padr: round %d: %w", p.round, err))
 	}
 	if len(performed) == 0 {
-		return nil, false, e.fail(fmt.Errorf("padr: round %d made no progress but work remains", p.round))
+		return false, e.fail(fmt.Errorf("padr: round %d made no progress but work remains", p.round))
 	}
 	e.remaining -= len(performed)
 	if p.schedule != nil {
@@ -609,7 +609,7 @@ func (e *Engine) step(p *prepared) (performed []comm.Comm, done bool, err error)
 	}
 	p.round++
 	e.curRound = -1
-	return performed, false, nil
+	return false, nil
 }
 
 // finalize validates the completed schedule and assembles the result.
@@ -658,7 +658,7 @@ func (e *Engine) Run() (*Result, error) {
 		return nil, err
 	}
 	for {
-		_, done, err := e.step(p)
+		done, err := e.step(p)
 		if err != nil {
 			return nil, err
 		}
@@ -692,7 +692,7 @@ func (e *Engine) RunRounds() (int, error) {
 // and ApplyRounds (delta.go).
 func (e *Engine) finishLight(p *prepared) (int, error) {
 	for {
-		_, done, err := e.step(p)
+		done, err := e.step(p)
 		if err != nil {
 			return 0, err
 		}

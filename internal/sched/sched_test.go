@@ -294,3 +294,66 @@ func TestVerifyRejectsDuplicateInSet(t *testing.T) {
 		t.Fatal("duplicate comm in set: want error")
 	}
 }
+
+// FirstFit places communications in source order; on a set already listed
+// in source order it must match greedyPack round for round, and its width
+// must be the set's.
+func TestFirstFitMatchesGreedyPack(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	for _, n := range []int{8, 32, 128} {
+		tr := topology.MustNew(n)
+		for trial := 0; trial < 100; trial++ {
+			s, err := comm.RandomTwoSided(rng, n, 1+rng.Intn(n/2))
+			if err != nil {
+				t.Fatal(err)
+			}
+			s.Comms = s.Sorted()
+			got, width := FirstFit(tr, s)
+			if want := greedyPack(t, tr, s); got.String() != want.String() {
+				t.Fatalf("set %v: FirstFit\n%sgreedyPack\n%s", s.Comms, got, want)
+			}
+			if w, err := s.Width(tr); err != nil || width != w {
+				t.Fatalf("set %v: FirstFit width %d, set width %d (%v)", s.Comms, width, w, err)
+			}
+			if err := got.Verify(tr); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+}
+
+// Rounds past 64 live in a second block of the occupancy table: 127
+// pairwise-crossing circuits rightward through the root of a 256-PE tree
+// need one round each, a leftward circuit through the root still joins
+// round 0, and a 128th rightward one opens round 127.
+func TestFirstFitPastOneBlock(t *testing.T) {
+	tr := topology.MustNew(256)
+	s := &comm.Set{N: 256}
+	for i := 0; i < 127; i++ {
+		s.Comms = append(s.Comms, comm.Comm{Src: i, Dst: 128 + i})
+	}
+	s.Comms = append(s.Comms, comm.Comm{Src: 255, Dst: 127})
+	if err := s.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	got, width := FirstFit(tr, s)
+	if got.NumRounds() != 127 || width != 127 {
+		t.Fatalf("%d rounds, width %d; want 127, 127", got.NumRounds(), width)
+	}
+	if r0 := got.Rounds[0]; len(r0) != 2 || r0[1] != (comm.Comm{Src: 255, Dst: 127}) {
+		t.Fatalf("round 0 = %v, want 0->128 and 255->127", r0)
+	}
+	if err := got.Verify(tr); err != nil {
+		t.Fatal(err)
+	}
+	occ := newOccupancy(tr)
+	for _, c := range s.Comms[:127] {
+		occ.place(c)
+	}
+	if r := occ.place(comm.Comm{Src: 127, Dst: 255}); r != 127 {
+		t.Fatalf("a circuit through the root after 127 rounds went to round %d, want 127", r)
+	}
+	if occ.rounds != 128 || occ.width != 128 {
+		t.Fatalf("occupancy: %d rounds, width %d; want 128, 128", occ.rounds, occ.width)
+	}
+}

@@ -1,8 +1,9 @@
 // The planner is the set-scheduling front end of the service: where the
 // Pool answers point requests (one src/dst pair against a live simulator),
 // the Planner answers whole communication sets — including non-well-nested
-// ones — by running the hybrid decompose/peel/color pipeline and returning
-// the composite plan's shape and power bill. Planning is CPU work on
+// ones — by running the hybrid planner (one coloring of the whole set over
+// directed tree links, or padr for the paper's own inputs) and returning
+// the plan's shape and power bill. Planning is CPU work on
 // shared physical-switch replay state, so a mutex serializes plans; the
 // per-size topology trees are cached across requests.
 //
@@ -12,6 +13,7 @@
 package serve
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"time"
@@ -37,9 +39,8 @@ const MaxPlanComms = 1024
 // and it leaves 8x room over the n = 2,048 a full MaxPlanComms set needs.
 const MaxPlanPEs = 1 << 14
 
-// PlannerConfig parameterizes a Planner. Plans use the hybrid defaults
-// (hybrid.DefaultExactBudget, hybrid.DefaultMaxBatches) and the
-// MaxPlanComms and MaxPlanPEs caps.
+// PlannerConfig parameterizes a Planner. Plans use the hybrid default
+// hybrid.DefaultExactBudget and the MaxPlanComms and MaxPlanPEs caps.
 type PlannerConfig struct {
 	// Registry receives the cst_hybrid_* series; nil leaves the planner
 	// uninstrumented.
@@ -76,7 +77,7 @@ func newPlannerMetrics(r *obs.Registry) plannerMetrics {
 		planned:  r.Counter("cst_hybrid_planned_total", "set scheduling requests planned"),
 		failed:   r.Counter("cst_hybrid_failed_total", "set scheduling requests refused or failed"),
 		units:    r.Counter("cst_hybrid_units_total", "power units billed across planned sets"),
-		trees:    r.Gauge("cst_hybrid_cached_trees", "topology trees cached by the set planner, one per planned n"),
+		trees:    r.Gauge("cst_hybrid_cached_trees", "topology trees cached by the set planner, one per requested n"),
 		rounds:   r.Histogram("cst_hybrid_rounds", "composite rounds per planned set", obs.ExponentialBuckets(1, 2, 10)),
 		seconds:  r.Histogram("cst_hybrid_plan_seconds", "wall-clock planning latency", obs.ExponentialBuckets(0.0001, 2, 16)),
 	}
@@ -101,17 +102,18 @@ type SetComm struct {
 // set, 413 set too large, 500 planner failure.
 type SetResult struct {
 	Status int `json:"status"`
-	// Rounds is the composite round count; Bound the peel-pipeline total
-	// it must not exceed; Width the link-width lower bound.
+	// Rounds is the plan's round count; Bound the joint first-fit round
+	// count it never exceeds; Width the link-width lower bound, so
+	// Width <= Rounds <= Bound.
 	Rounds int `json:"rounds"`
 	Bound  int `json:"bound"`
 	Width  int `json:"width"`
-	// Batches and ResidualComms describe the decomposition: how many
-	// well-nested batches were peeled and how many communications fell
-	// through to graph coloring.
+	// Batches is 1 when padr scheduled the set and 0 otherwise;
+	// ResidualComms is how many communications were colored, the whole
+	// set or none.
 	Batches       int `json:"batches"`
 	ResidualComms int `json:"residual_comms"`
-	// Strategy is the winning plan, hybrid.StrategyPeel or
+	// Strategy names the planner, hybrid.StrategyPeel (padr) or
 	// hybrid.StrategyColoring.
 	Strategy string `json:"strategy,omitempty"`
 	// Units is the composite power bill in switch-round units.
@@ -184,10 +186,6 @@ func (p *Planner) plan(s *comm.Set, proto uint8, includeRounds bool, sctx obs.Sp
 		p.met.failed.Inc()
 		return SetResult{Status: 413, Err: fmt.Sprintf("serve: n = %d over the %d-PE cap", s.N, MaxPlanPEs)}
 	}
-	if err := s.Validate(); err != nil {
-		p.met.failed.Inc()
-		return SetResult{Status: 400, Err: err.Error()}
-	}
 
 	p.mu.Lock()
 	tree := p.trees[s.N]
@@ -214,6 +212,10 @@ func (p *Planner) plan(s *comm.Set, proto uint8, includeRounds bool, sctx obs.Sp
 	p.mu.Unlock()
 	if err != nil {
 		p.met.failed.Inc()
+		// hybrid.Schedule validates the set: the planner does not again.
+		if errors.Is(err, hybrid.ErrInvalidSet) {
+			return SetResult{Status: 400, Err: err.Error()}
+		}
 		return SetResult{Status: 500, Err: err.Error()}
 	}
 

@@ -188,9 +188,9 @@ func TestSpanTreeEndToEnd(t *testing.T) {
 	byRoot := flightByRoot(snap)
 	want := map[string][]string{
 		"http.schedule": {"serve.queue", "serve.dispatch", "online.batch", "padr.run", "response.write"},
-		"http.plan":     {"serve.plan", "hybrid.decompose", "hybrid.peel", "hybrid.replay", "response.write"},
+		"http.plan":     {"serve.plan", "hybrid.color", "hybrid.replay", "response.write"},
 		"wire.schedule": {"serve.queue", "serve.dispatch", "online.batch", "padr.run", "response.write"},
-		"wire.plan":     {"serve.plan", "hybrid.decompose", "hybrid.peel", "hybrid.replay", "response.write"},
+		"wire.plan":     {"serve.plan", "hybrid.color", "hybrid.replay", "response.write"},
 	}
 	for root, children := range want {
 		ft, ok := byRoot[root]

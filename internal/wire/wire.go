@@ -126,9 +126,11 @@ const (
 const (
 	// StrategyNone is the zero strategy (non-200 answers).
 	StrategyNone = 0
-	// StrategyPeel is the circuit-first peel pipeline.
+	// StrategyPeel is a plan padr scheduled: the set was one-orientation
+	// and well nested, the paper's input.
 	StrategyPeel = 1
-	// StrategyColoring is the pure conflict-coloring plan.
+	// StrategyColoring is a coloring of the whole set over directed tree
+	// links.
 	StrategyColoring = 2
 )
 
@@ -209,7 +211,9 @@ type SetRequest struct {
 // SetResponse is the terminal answer for set request ID. Status reuses the
 // HTTP mapping (200 planned, 400 invalid set, 501 planner disabled, 503
 // draining); the plan fields are meaningful only for status 200. Units is
-// the composite power bill, Strategy one of the Strategy* codes.
+// the composite power bill, Strategy one of the Strategy* codes; Batches
+// is 1 for a padr plan and 0 otherwise, Residual the number of colored
+// communications (see serve.SetResult).
 type SetResponse struct {
 	ID       uint64
 	Status   int
