@@ -159,13 +159,42 @@ func TestSpanTreeEndToEnd(t *testing.T) {
 		t.Error("wire set response carries no trace id at sampling 1.0")
 	}
 
+	// One delta per protocol, each opening its own session.
+	resp, err = http.Post(srv.URL+"/schedule-delta", "application/json",
+		strings.NewReader(`{"session":4,"add":[{"src":0,"dst":7}]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var deltaRes DeltaResult
+	if err := json.NewDecoder(resp.Body).Decode(&deltaRes); err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK || deltaRes.TraceID == "" {
+		t.Fatalf("POST /schedule-delta = %d, trace_id %q", resp.StatusCode, deltaRes.TraceID)
+	}
+	if err := c.SendDelta(&wire.DeltaRequest{ID: 3, Session: 5, Add: [][2]int{{1, 6}}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	var wdelta wire.DeltaResponse
+	if err := c.RecvDelta(&wdelta); err != nil {
+		t.Fatal(err)
+	}
+	if wdelta.Status != http.StatusOK || wdelta.Trace == 0 {
+		t.Fatalf("wire delta response = %+v", wdelta)
+	}
+
 	// Root spans close just after the response is written, so the client
 	// can observe the answer before the tree finalizes: poll.
+	const requests = 6
 	var snap obs.FlightSnapshot
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		snap = getFlight(t, srv.URL)
-		if snap.Finished >= 4 || time.Now().After(deadline) {
+		if snap.Finished >= requests || time.Now().After(deadline) {
 			break
 		}
 		time.Sleep(5 * time.Millisecond)
@@ -173,8 +202,8 @@ func TestSpanTreeEndToEnd(t *testing.T) {
 	teardown()
 
 	snap = getFlight(t, srv.URL)
-	if snap.Finished != 4 {
-		t.Fatalf("finished traces = %d, want 4 (one per request)", snap.Finished)
+	if snap.Finished != requests {
+		t.Fatalf("finished traces = %d, want %d (one per request)", snap.Finished, requests)
 	}
 	if snap.OrphanSpans != 0 {
 		t.Errorf("orphan spans = %d, want 0 (broken parent propagation)", snap.OrphanSpans)
@@ -184,13 +213,15 @@ func TestSpanTreeEndToEnd(t *testing.T) {
 			snap.OpenTraces, snap.AbandonedTraces)
 	}
 
-	// Every request was pinned (k=16 >> 4); check each tree's shape.
+	// Every request was pinned (k=16 >> 6); check each tree's shape.
 	byRoot := flightByRoot(snap)
 	want := map[string][]string{
 		"http.schedule": {"serve.queue", "serve.dispatch", "online.batch", "padr.run", "response.write"},
 		"http.plan":     {"serve.plan", "hybrid.color", "hybrid.replay", "response.write"},
+		"http.delta":    {"serve.delta", "online.delta", "response.write"},
 		"wire.schedule": {"serve.queue", "serve.dispatch", "online.batch", "padr.run", "response.write"},
 		"wire.plan":     {"serve.plan", "hybrid.color", "hybrid.replay", "response.write"},
+		"wire.delta":    {"serve.delta", "online.delta", "response.write"},
 	}
 	for root, children := range want {
 		ft, ok := byRoot[root]
