@@ -70,7 +70,6 @@ type deltaMetrics struct {
 	applied   *obs.Counter
 	fallbacks *obs.Counter
 	rejected  *obs.Counter
-	sessions  *obs.Gauge
 	rounds    *obs.Histogram
 	applyTime *obs.Histogram
 }
@@ -81,7 +80,6 @@ func newDeltaMetrics(r *obs.Registry) deltaMetrics {
 		applied:   r.Counter("cst_delta_applied_total", "deltas served by the incremental apply path"),
 		fallbacks: r.Counter("cst_delta_fallbacks_total", "deltas served by a from-scratch fallback run"),
 		rejected:  r.Counter("cst_delta_rejected_total", "deltas rejected as invalid against their session"),
-		sessions:  r.Gauge("cst_delta_sessions", "delta sessions currently open"),
 		rounds:    r.Histogram("cst_delta_rounds", "schedule rounds per applied delta", roundBuckets()),
 		applyTime: r.Histogram("cst_delta_apply_seconds", "wall-clock delta scheduling time", obs.ExponentialBuckets(1e-6, 2, 20)),
 	}
@@ -187,7 +185,6 @@ func (s *Simulator) applyDelta(id uint64, remove, add []comm.Comm) (DeltaResult,
 	sess.comms = append(sess.comms[:0], target...)
 	if !open {
 		s.sessions[id] = sess
-		s.dmet.sessions.Set(int64(len(s.sessions)))
 	}
 	s.dmet.fallbacks.Inc()
 	s.dmet.rounds.Observe(float64(rounds))
@@ -198,12 +195,7 @@ func (s *Simulator) applyDelta(id uint64, remove, add []comm.Comm) (DeltaResult,
 
 // CloseDeltaSession drops a session and frees its engine and crossbars.
 // Closing an unknown session is a no-op.
-func (s *Simulator) CloseDeltaSession(id uint64) {
-	if _, ok := s.sessions[id]; ok {
-		delete(s.sessions, id)
-		s.dmet.sessions.Set(int64(len(s.sessions)))
-	}
-}
+func (s *Simulator) CloseDeltaSession(id uint64) { delete(s.sessions, id) }
 
 // mutateComms applies an already-validated delta to comms in place.
 func mutateComms(comms []comm.Comm, remove, add []comm.Comm) []comm.Comm {

@@ -1,7 +1,7 @@
 // Delta scheduling: incremental re-runs of CSA against a mutated
 // communication set (ROADMAP "incremental / self-adjusting scheduling").
 //
-// A full prepare retains the pristine post-Phase-1 state — every switch's
+// A full run retains the pristine post-Phase-1 state — every switch's
 // C_S word and the matchedSub subtree totals — exactly as Phase 2 is about
 // to consume it. Apply then exploits the locality of the matching: a
 // switch's C_S word depends only on the leaves of its subtree, so an
@@ -45,7 +45,6 @@ import (
 	"cst/internal/comm"
 	"cst/internal/ctrl"
 	"cst/internal/obs"
-	"cst/internal/sched"
 	"cst/internal/topology"
 )
 
@@ -85,81 +84,41 @@ func (e *Engine) Set() *comm.Set { return e.set }
 // comment for the two documented exceptions). Crossbar state is carried
 // over, so power reports bill only the reconfigurations this run causes —
 // the PADR story for long-lived dynamic sets.
-func (e *Engine) Apply(d Delta) (*Result, error) {
-	p := new(prepared)
-	if err := e.applyPrepare(p, d, false); err != nil {
-		return nil, err
-	}
-	for {
-		done, err := e.step(p)
-		if err != nil {
-			return nil, err
-		}
-		if done {
-			break
-		}
-	}
-	return e.finalize(p)
-}
+func (e *Engine) Apply(d Delta) (*Result, error) { return e.result(e.apply(d, false)) }
 
 // ApplyRounds is Apply's rounds-only twin, mirroring RunRounds: no
 // schedule, no snapshot, no power report, and allocation-free on a warm
 // engine as long as the set does not outgrow its arenas.
-func (e *Engine) ApplyRounds(d Delta) (int, error) {
-	p := &e.lightPrep
-	*p = prepared{}
-	if err := e.applyPrepare(p, d, true); err != nil {
-		return 0, err
-	}
-	return e.finishLight(p)
-}
+func (e *Engine) ApplyRounds(d Delta) (int, error) { return e.apply(d, true) }
 
-// applyPrepare is prepareInto for the delta path: mutate the set, patch
-// Phase 1 along the dirty paths, restore the live arrays and stage Phase 2.
-func (e *Engine) applyPrepare(p *prepared, d Delta, light bool) error {
+// apply is run for the delta path: mutate the set, patch Phase 1 along the
+// dirty paths, restore the live arrays and finish.
+func (e *Engine) apply(d Delta, light bool) (int, error) {
 	if !e.deltaOK {
-		return ErrNotReady
+		return 0, ErrNotReady
 	}
 	if err := e.applyMutate(d); err != nil {
-		return err // rolled back; the engine stays Ready on the old set
+		return 0, err // rolled back; the engine stays Ready on the old set
 	}
 	// Mutation committed: from here any failure leaves the engine not
-	// Ready, and the caller must fall back to Reset + a from-scratch run.
-	e.deltaOK = false
-	e.met.runs.Inc()
-	e.met.comms.Add(int64(e.set.Len()))
-	e.met.switches.Add(int64(e.tree.Switches()))
-	if e.instr {
-		e.runStart = time.Now()
-		e.unitsBase, e.altBase = e.meterTotals()
-	}
+	// Ready (begin clears it), and the caller must fall back to Reset + a
+	// from-scratch run.
 	if e.tracer != nil {
 		e.tracer.Emit(obs.Event{Type: "delta.apply", Engine: "padr", Round: -1, N: d.Size(), Trace: e.traceID()})
-		e.tracer.Emit(obs.Event{Type: "run.start", Engine: "padr", Round: -1, N: e.set.Len(), Mode: e.mode.String(), Trace: e.traceID()})
 	}
-	e.inj.BeginRun()
-	e.prune = e.obs.WordSent == nil && e.obs.Configured == nil && e.tracer == nil && e.inj == nil
-
-	// Per-run bookkeeping, mirroring arm+prepareInto. Only the current
-	// set's endpoints need their done flags cleared: a stale true at any
-	// other PE is unreachable, because leaf() checks leafRole first.
-	e.upWords, e.downWords, e.upBytes, e.downBytes, e.activeDown = 0, 0, 0, 0, 0
+	e.begin()
+	// Only the current set's endpoints need their done flags cleared: a
+	// stale true at any other PE is unreachable, because leaf() checks
+	// leafRole first.
 	for _, c := range e.set.Comms {
 		e.leafDone[c.Src] = false
 		e.leafDone[c.Dst] = false
 	}
-	e.remaining = len(e.set.Comms)
-	if cap(e.commArena) < len(e.set.Comms) {
-		e.commArena = make([]comm.Comm, len(e.set.Comms))
-	}
-	e.commArena = e.commArena[:cap(e.commArena)]
-	e.commUsed = 0
-
 	width := e.curWidth
 	e.met.width.Set(int64(width))
 
 	if err := e.deltaPhase1(); err != nil {
-		return e.fail(err)
+		return 0, e.fail(err)
 	}
 	e.met.upWords.Add(int64(e.upWords))
 	if e.tracer != nil {
@@ -172,37 +131,15 @@ func (e *Engine) applyPrepare(p *prepared, d Delta, light bool) error {
 	// Validate the recomputed words. The encoding is fixed-size, so the
 	// from-scratch maxStored sweep always yields StoredWordBytes; only
 	// range validation needs to run, and only over the dirty switches.
-	maxStored := ctrl.StoredWordBytes
 	for _, u := range e.dirtyList {
 		if _, err := ctrl.EncodeStoredInto(e.encBuf[:], e.p1Stored[u]); err != nil {
-			return e.fail(fmt.Errorf("padr: switch %d state not encodable: %v", u, err))
+			return 0, e.fail(fmt.Errorf("padr: switch %d state not encodable: %v", u, err))
 		}
 	}
-	if up := e.p1Stored[e.tree.Root()].UpWord(); up.S != 0 || up.D != 0 {
-		return e.fail(fmt.Errorf("padr: root still advertises %s upward; set is not schedulable", up))
-	}
-
 	// Restore the live arrays Phase 2 drains from the pristine snapshot.
 	copy(e.stored, e.p1Stored)
 	copy(e.matchedSub, e.p1MatchedSub)
-
-	maxRounds := width + MaxRoundsSlack
-	if e.sel == Conservative {
-		maxRounds = e.set.Len() + MaxRoundsSlack
-	}
-	p.width = width
-	p.maxRounds = maxRounds
-	p.maxStored = maxStored
-	p.round = 0
-	if !light {
-		p.initial = make([]ctrl.Stored, len(e.stored))
-		copy(p.initial, e.stored)
-		p.schedule = &sched.Schedule{Set: e.set.Clone()}
-	} else {
-		p.initial = nil
-		p.schedule = nil
-	}
-	return nil
+	return e.finish(width, ctrl.StoredWordBytes, light)
 }
 
 // applyMutate validates and applies the delta to the set arenas (leafRole,
@@ -331,7 +268,7 @@ func (e *Engine) settleWidth() {
 }
 
 // rebuildLoadHist derives the load histogram and running width from the
-// edge loads WidthInto left behind. Runs once after each full prepare
+// edge loads WidthInto left behind. Runs once after each full run
 // (histDirty); every Apply afterwards maintains both incrementally. An
 // edge's load is bounded by its subtree's leaf count ≤ N/2, so N+1 buckets
 // always suffice.
@@ -411,8 +348,8 @@ func (e *Engine) deltaPhase1() error {
 
 // snapshotPhase1 retains the post-Phase-1 stored words and matchedSub
 // totals for the delta path, and flags the width bookkeeping for a rebuild
-// (widthScratch now holds this set's loads). Called by prepareInto after
-// the root sanity check.
+// (widthScratch now holds this set's loads). Called by run once Phase 1
+// is done.
 func (e *Engine) snapshotPhase1() {
 	if e.p1Stored == nil {
 		e.p1Stored = make([]ctrl.Stored, len(e.stored))

@@ -65,7 +65,7 @@ func newEngineMetrics(r *obs.Registry) engineMetrics {
 
 // meterTotals sums the cumulative power meters across the engine's
 // switches. With WithCrossbars the meters carry charge from earlier runs,
-// so callers diff against a baseline taken in prepare to attribute only
+// so callers diff against a baseline taken in begin to attribute only
 // this run's spend.
 func (e *Engine) meterTotals() (units, alternations int) {
 	for _, sw := range e.switches {

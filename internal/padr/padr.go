@@ -25,6 +25,7 @@ package padr
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"cst/internal/circuit"
@@ -181,7 +182,7 @@ type Engine struct {
 	runStart   time.Time
 	roundStart time.Time
 	curRound   int // round being dispatched, -1 outside Phase 2
-	unitsBase  int // cumulative meter baselines at prepare, for
+	unitsBase  int // cumulative meter baselines at begin, for
 	altBase    int // delta attribution on shared crossbars
 
 	// Arenas indexed by topology.Node, len = tree.Leaves() (internal nodes
@@ -224,8 +225,7 @@ type Engine struct {
 	roundDstList []int
 	nestStack    []int // arm's well-nestedness scan stack, reused
 
-	// commArena backs every round's performed slice for one run: rounds
-	// partition the set, so set.Len() entries suffice for the whole run.
+	// commArena backs every round's performed slice for one run (see begin).
 	commArena []comm.Comm
 	commUsed  int
 
@@ -233,9 +233,8 @@ type Engine struct {
 	widthScratch []int
 	encBuf       [ctrl.StoredWordBytes]byte
 
-	// lightPrep backs RunRounds' prepared state so the rounds-only path
-	// allocates nothing on a warm engine.
-	lightPrep prepared
+	// p is the current run's staged Phase 2 state (see finish).
+	p prepared
 
 	// stats
 	upWords    int
@@ -345,12 +344,6 @@ func (e *Engine) arm(s *comm.Set) error {
 	}
 	e.set.N = s.N
 	e.set.Comms = append(e.set.Comms[:0], s.Comms...)
-	e.remaining = len(e.set.Comms)
-	if cap(e.commArena) < len(e.set.Comms) {
-		e.commArena = make([]comm.Comm, len(e.set.Comms))
-	}
-	e.commArena = e.commArena[:cap(e.commArena)]
-	e.commUsed = 0
 	return nil
 }
 
@@ -400,12 +393,6 @@ func (e *Engine) Reset(s *comm.Set, opts ...Option) error {
 	}
 	e.ran = false
 	e.curRound = -1
-	e.upWords, e.downWords, e.upBytes, e.downBytes, e.activeDown = 0, 0, 0, 0, 0
-	e.roundSrcs = e.roundSrcs[:0]
-	for _, pe := range e.roundDstList {
-		e.roundDsts[pe] = false
-	}
-	e.roundDstList = e.roundDstList[:0]
 	for _, o := range opts {
 		o(e)
 	}
@@ -429,21 +416,8 @@ func (e *Engine) traceID() string {
 	return e.span.Trace.String()
 }
 
-// emitRunSpan closes out the "padr.run" span for a traced run and consumes
-// the span context.
-func (e *Engine) emitRunSpan(rounds int, errmsg string) {
-	if e.tracer == nil || !e.span.Valid() {
-		return
-	}
-	e.tracer.EmitSpan(obs.SpanRecord{
-		Trace: e.span.Trace, Span: e.tracer.NewSpanID(), Parent: e.span.Span,
-		Name: "padr.run", Engine: "padr",
-		Start: e.runStart, End: time.Now(), N: rounds, Err: errmsg,
-	})
-	e.span = obs.SpanContext{}
-}
-
-// prepared holds the state computed by prepare (Phase 1 plus validation).
+// prepared is the staged state Phase 2 runs against: finish rebuilds it
+// for every run, full or delta, in the engine's own copy.
 type prepared struct {
 	width     int
 	maxRounds int
@@ -453,26 +427,77 @@ type prepared struct {
 	round     int
 }
 
-// prepare runs Phase 1, snapshots the stored words and validates the root.
-func (e *Engine) prepare() (*prepared, error) {
-	p := new(prepared)
-	if err := e.prepareInto(p, false); err != nil {
-		return nil, err
-	}
-	return p, nil
-}
+// Run executes Phase 1 once and Phase 2 until every communication has been
+// performed, then returns the schedule, power report and statistics.
+func (e *Engine) Run() (*Result, error) { return e.result(e.run(false)) }
 
-// prepareInto is prepare with caller-owned state. In light mode the
-// result-only artifacts — the initial-state snapshot and the schedule with
-// its cloned set — are skipped, which together with a caller-pooled p
-// makes the whole prepare allocation-free on a warm engine (RunRounds'
-// contract).
-func (e *Engine) prepareInto(p *prepared, light bool) error {
+// RunRounds executes the schedule like Run but returns only the round
+// count, skipping every result-only artifact: no initial-state snapshot,
+// no schedule (and set clone), no power report. Theorem 5 validation and
+// instrumented meter billing still happen, and shared crossbars' meters
+// accumulate identically. On a warm (Reset) engine the whole Phase 1 →
+// rounds → validate cycle is allocation-free, which is what lets the
+// online dispatcher — and the wire serving path above it — run whole
+// batches without a single allocation. Callers that need the schedule or
+// the per-run power report use Run.
+func (e *Engine) RunRounds() (int, error) { return e.run(true) }
+
+// run is a from-scratch run: Phase 1 over every switch, then finish. A
+// light run skips the result-only artifacts.
+func (e *Engine) run(light bool) (int, error) {
 	if e.ran {
-		return e.fail(fmt.Errorf("padr: engine is single-use; create a new one"))
+		return 0, e.fail(fmt.Errorf("padr: engine is single-use; create a new one"))
 	}
 	e.ran = true
+	e.begin()
+	if e.widthScratch == nil {
+		e.widthScratch = make([]int, e.tree.DirectedEdgeCount())
+	}
+	width, err := e.set.WidthInto(e.tree, e.widthScratch)
+	if err != nil {
+		return 0, e.fail(err)
+	}
+	e.met.width.Set(int64(width))
+
+	if err := e.phase1(); err != nil {
+		return 0, e.fail(err)
+	}
+	e.met.upWords.Add(int64(e.upWords))
+	if e.tracer != nil {
+		e.tracer.Emit(obs.Event{
+			Type: "phase1.done", Engine: "padr", Round: -1,
+			N: e.upWords, DurNS: time.Since(e.runStart).Nanoseconds(), Width: width,
+		})
+	}
+	maxStored := 0
+	for u := 1; u < len(e.stored); u++ {
+		sz, err := ctrl.EncodeStoredInto(e.encBuf[:], e.stored[u])
+		if err != nil {
+			return 0, e.fail(fmt.Errorf("padr: switch %d state not encodable: %v", u, err))
+		}
+		maxStored = max(maxStored, sz)
+	}
+	// Retain the pristine post-Phase-1 state for delta scheduling: Phase 2
+	// will drain stored/matchedSub in place, but Apply restores them from
+	// this snapshot after patching only the dirty root paths.
+	e.snapshotPhase1()
+	return e.finish(width, maxStored, light)
+}
+
+// begin opens a run, full or delta: it zeroes the word counters and the
+// round arena, books the run's metrics and the meter baselines that let
+// shared crossbars bill only this run, emits run.start, advances the
+// injector's run and decides whether Phase 2 may prune.
+func (e *Engine) begin() {
 	e.deltaOK = false
+	e.upWords, e.downWords, e.upBytes, e.downBytes, e.activeDown = 0, 0, 0, 0, 0
+	// commArena backs every round's performed slice for one run: rounds
+	// partition the set, so set.Len() entries suffice for the whole run.
+	e.remaining, e.commUsed = e.set.Len(), 0
+	if cap(e.commArena) < e.remaining {
+		e.commArena = make([]comm.Comm, e.remaining)
+	}
+	e.commArena = e.commArena[:cap(e.commArena)]
 	e.met.runs.Inc()
 	e.met.comms.Add(int64(e.set.Len()))
 	e.met.switches.Add(int64(e.tree.Switches()))
@@ -489,81 +514,72 @@ func (e *Engine) prepareInto(p *prepared, light bool) error {
 	// and whenever faults are armed, since a pruned walk would skip the
 	// very links the plan targets.
 	e.prune = e.obs.WordSent == nil && e.obs.Configured == nil && e.tracer == nil && e.inj == nil
+}
 
-	if e.widthScratch == nil {
-		e.widthScratch = make([]int, e.tree.DirectedEdgeCount())
-	}
-	width, err := e.set.WidthInto(e.tree, e.widthScratch)
-	if err != nil {
-		return e.fail(err)
-	}
-	e.met.width.Set(int64(width))
-
-	if err := e.phase1(); err != nil {
-		return e.fail(err)
-	}
-	e.met.upWords.Add(int64(e.upWords))
-	if e.tracer != nil {
-		e.tracer.Emit(obs.Event{
-			Type: "phase1.done", Engine: "padr", Round: -1,
-			N: e.upWords, DurNS: time.Since(e.runStart).Nanoseconds(), Width: width,
-		})
-	}
-
-	var initial []ctrl.Stored
-	if !light {
-		initial = make([]ctrl.Stored, len(e.stored))
-		copy(initial, e.stored)
-	}
-	maxStored := 0
-	for u := 1; u < len(e.stored); u++ {
-		sz, err := ctrl.EncodeStoredInto(e.encBuf[:], e.stored[u])
-		if err != nil {
-			return e.fail(fmt.Errorf("padr: switch %d state not encodable: %v", u, err))
-		}
-		if sz > maxStored {
-			maxStored = sz
-		}
-	}
-	// Sanity: after matching, nothing may remain unmatched at the root.
+// finish ends every run, full or delta, once its Phase 1 is done: it checks
+// that nothing is left unmatched at the root, stages Phase 2 and runs it
+// until every communication is performed, checks Theorem 5, bills the
+// run's meter delta, and emits run.done and the padr.run span. Unless
+// light, the run keeps the result-only artifacts: a snapshot of the
+// post-Phase-1 words and a schedule over its own copy of the set (e.set is
+// an arena the next Reset or Apply overwrites, while results must stay
+// immutable). A finished engine is Ready for Apply.
+func (e *Engine) finish(width, maxStored int, light bool) (int, error) {
 	if up := e.stored[e.tree.Root()].UpWord(); up.S != 0 || up.D != 0 {
-		return e.fail(fmt.Errorf("padr: root still advertises %s upward; set is not schedulable", up))
+		return 0, e.fail(fmt.Errorf("padr: root still advertises %s upward; set is not schedulable", up))
 	}
-	// Retain the pristine post-Phase-1 state for delta scheduling: Phase 2
-	// will drain stored/matchedSub in place, but Apply restores them from
-	// this snapshot after patching only the dirty root paths.
-	e.snapshotPhase1()
-
-	maxRounds := width + MaxRoundsSlack
+	p := &e.p
+	*p = prepared{width: width, maxRounds: width + MaxRoundsSlack, maxStored: maxStored}
 	if e.sel == Conservative {
 		// The conservative rule may run past the width; bound the loop by
 		// the trivial one-communication-per-round schedule instead.
-		maxRounds = e.set.Len() + MaxRoundsSlack
+		p.maxRounds = e.set.Len() + MaxRoundsSlack
 	}
-	p.width = width
-	p.maxRounds = maxRounds
-	p.initial = initial
-	p.maxStored = maxStored
-	p.round = 0
 	if !light {
-		// The schedule gets its own copy of the set: e.set is an arena that
-		// the next Reset overwrites, while results must stay immutable.
+		p.initial = slices.Clone(e.stored)
 		p.schedule = &sched.Schedule{Set: e.set.Clone()}
-	} else {
-		p.schedule = nil
 	}
-	return nil
+	for e.remaining > 0 {
+		if err := e.step(); err != nil {
+			return 0, err
+		}
+	}
+	rounds := p.round
+	if e.sel == Greedy && rounds != width {
+		return 0, e.fail(fmt.Errorf("padr: took %d rounds for a width-%d set (Theorem 5 violated)", rounds, width))
+	}
+	if e.instr {
+		units, alts := e.meterTotals()
+		e.met.units.Add(int64(units - e.unitsBase))
+		e.met.alternations.Add(int64(alts - e.altBase))
+		e.met.runLatency.ObserveDuration(time.Since(e.runStart))
+		if e.tracer != nil {
+			e.tracer.Emit(obs.Event{
+				Type: "run.done", Engine: "padr", Round: -1,
+				N: rounds, DurNS: time.Since(e.runStart).Nanoseconds(), Width: width,
+				Trace: e.traceID(),
+			})
+			// The padr.run span consumes the run's span context.
+			if e.span.Valid() {
+				e.tracer.EmitSpan(obs.SpanRecord{
+					Trace: e.span.Trace, Span: e.tracer.NewSpanID(), Parent: e.span.Span,
+					Name: "padr.run", Engine: "padr",
+					Start: e.runStart, End: time.Now(), N: rounds,
+				})
+				e.span = obs.SpanContext{}
+			}
+		}
+	}
+	e.deltaOK = true
+	return rounds, nil
 }
 
-// step executes one Phase 2 round against prepared state, appending it to
-// p.schedule when the run keeps one; done reports whether all
-// communications have been performed (in which case no round ran).
-func (e *Engine) step(p *prepared) (done bool, err error) {
-	if !e.pendingWork() {
-		return true, nil
-	}
+// step executes one Phase 2 round of the staged run, appending it to the
+// schedule when the run keeps one.
+func (e *Engine) step() error {
+	p := &e.p
 	if p.round >= p.maxRounds {
-		return false, e.fail(fmt.Errorf("padr: exceeded %d rounds for a width-%d set; pending work remains", p.round, p.width))
+		return e.fail(fmt.Errorf("padr: exceeded %d rounds for a width-%d set; pending work remains", p.round, p.width))
 	}
 	e.curRound = p.round
 	if e.instr {
@@ -584,10 +600,10 @@ func (e *Engine) step(p *prepared) (done bool, err error) {
 	}
 	performed, err := e.round()
 	if err != nil {
-		return false, e.fail(fmt.Errorf("padr: round %d: %w", p.round, err))
+		return e.fail(fmt.Errorf("padr: round %d: %w", p.round, err))
 	}
 	if len(performed) == 0 {
-		return false, e.fail(fmt.Errorf("padr: round %d made no progress but work remains", p.round))
+		return e.fail(fmt.Errorf("padr: round %d made no progress but work remains", p.round))
 	}
 	e.remaining -= len(performed)
 	if p.schedule != nil {
@@ -609,117 +625,28 @@ func (e *Engine) step(p *prepared) (done bool, err error) {
 	}
 	p.round++
 	e.curRound = -1
-	return false, nil
+	return nil
 }
 
-// finalize validates the completed schedule and assembles the result.
-func (e *Engine) finalize(p *prepared) (*Result, error) {
-	rounds := p.schedule.NumRounds()
-	if e.sel == Greedy && rounds != p.width {
-		return nil, e.fail(fmt.Errorf("padr: took %d rounds for a width-%d set (Theorem 5 violated)", rounds, p.width))
+// result assembles Run's and Apply's Result from a finished run, passing a
+// failed run's error through.
+func (e *Engine) result(rounds int, err error) (*Result, error) {
+	if err != nil {
+		return nil, err
 	}
-	if e.instr {
-		// Diff the cumulative switch meters against the prepare-time
-		// baseline so shared crossbars (WithCrossbars) bill only this run.
-		units, alts := e.meterTotals()
-		e.met.units.Add(int64(units - e.unitsBase))
-		e.met.alternations.Add(int64(alts - e.altBase))
-		e.met.runLatency.ObserveDuration(time.Since(e.runStart))
-		if e.tracer != nil {
-			e.tracer.Emit(obs.Event{
-				Type: "run.done", Engine: "padr", Round: -1,
-				N: rounds, DurNS: time.Since(e.runStart).Nanoseconds(), Width: p.width,
-				Trace: e.traceID(),
-			})
-		}
-		e.emitRunSpan(rounds, "")
-	}
-	e.deltaOK = true
 	return &Result{
-		Schedule:        p.schedule,
+		Schedule:        e.p.schedule,
 		Report:          power.Collect(e.algorithmName(), e.mode, rounds, e.tree, e.switches),
-		Width:           p.width,
+		Width:           e.p.width,
 		Rounds:          rounds,
-		InitialStored:   p.initial,
+		InitialStored:   e.p.initial,
 		UpWords:         e.upWords,
 		DownWords:       e.downWords,
 		UpBytes:         e.upBytes,
 		DownBytes:       e.downBytes,
 		ActiveDownWords: e.activeDown,
-		MaxStoredBytes:  p.maxStored,
+		MaxStoredBytes:  e.p.maxStored,
 	}, nil
-}
-
-// Run executes Phase 1 once and Phase 2 until every communication has been
-// performed, then returns the schedule, power report and statistics.
-func (e *Engine) Run() (*Result, error) {
-	p, err := e.prepare()
-	if err != nil {
-		return nil, err
-	}
-	for {
-		done, err := e.step(p)
-		if err != nil {
-			return nil, err
-		}
-		if done {
-			break
-		}
-	}
-	return e.finalize(p)
-}
-
-// RunRounds executes the schedule like Run but returns only the round
-// count, skipping every result-only artifact: no initial-state snapshot,
-// no schedule (and set clone), no power report. Theorem 5 validation and
-// instrumented meter billing still happen, and shared crossbars' meters
-// accumulate identically. On a warm (Reset) engine the whole prepare →
-// rounds → validate cycle is allocation-free, which is what lets the
-// online dispatcher — and the wire serving path above it — run whole
-// batches without a single allocation. Callers that need the schedule or
-// the per-run power report use Run.
-func (e *Engine) RunRounds() (int, error) {
-	p := &e.lightPrep
-	*p = prepared{}
-	if err := e.prepareInto(p, true); err != nil {
-		return 0, err
-	}
-	return e.finishLight(p)
-}
-
-// finishLight drives Phase 2 to completion for a light (rounds-only) run,
-// validates Theorem 5 and settles instrumented billing. Shared by RunRounds
-// and ApplyRounds (delta.go).
-func (e *Engine) finishLight(p *prepared) (int, error) {
-	for {
-		done, err := e.step(p)
-		if err != nil {
-			return 0, err
-		}
-		if done {
-			break
-		}
-	}
-	rounds := p.round
-	if e.sel == Greedy && rounds != p.width {
-		return 0, e.fail(fmt.Errorf("padr: took %d rounds for a width-%d set (Theorem 5 violated)", rounds, p.width))
-	}
-	if e.instr {
-		units, alts := e.meterTotals()
-		e.met.units.Add(int64(units - e.unitsBase))
-		e.met.alternations.Add(int64(alts - e.altBase))
-		e.met.runLatency.ObserveDuration(time.Since(e.runStart))
-		if e.tracer != nil {
-			e.tracer.Emit(obs.Event{
-				Type: "run.done", Engine: "padr", Round: -1,
-				N: rounds, DurNS: time.Since(e.runStart).Nanoseconds(), Width: p.width,
-				Trace: e.traceID(),
-			})
-		}
-		e.emitRunSpan(rounds, "")
-	}
-	e.deltaOK = true
-	return rounds, nil
 }
 
 // algorithmName labels power reports: "padr" for the default rule, since
@@ -811,11 +738,6 @@ func (e *Engine) upWordFromState(stored []ctrl.Stored, child topology.Node) (ctr
 	}
 	return up, nil
 }
-
-// pendingWork reports whether any communication remains unperformed. The
-// remaining counter is maintained by step, replacing the original O(N)
-// sweep over every switch and PE.
-func (e *Engine) pendingWork() bool { return e.remaining > 0 }
 
 // round executes one Phase 2 round: words flow top-down from the root
 // (which behaves as if it received [null,null]), every switch configures

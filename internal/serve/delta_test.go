@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -63,9 +64,11 @@ func TestScheduleDeltaLifecycle(t *testing.T) {
 
 // TestDeltaSessionPinning pins the shard-affinity invariant: session id
 // modulo the shard count picks the worker, so every delta of a session
-// lands on the simulator holding its warm engine.
+// lands on the simulator holding its warm engine. Each shard's open
+// sessions also read through /metrics, each gauge counting only its own.
 func TestDeltaSessionPinning(t *testing.T) {
-	p, err := New(Config{PEs: 16, Shards: 2})
+	reg := obs.New()
+	p, err := New(Config{PEs: 16, Shards: 2, Registry: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,24 +79,30 @@ func TestDeltaSessionPinning(t *testing.T) {
 		_ = p.Drain(ctx)
 	}()
 
-	for id := uint64(0); id < 4; id++ {
+	for id := uint64(0); id < 5; id++ {
 		if res := p.ScheduleDelta(id, nil, []comm.Comm{{Src: 0, Dst: 3}}, 0); res.Status != http.StatusOK {
 			t.Fatalf("session %d: %+v", id, res)
 		}
 	}
-	// Sessions 0,2 pin to shard 0; 1,3 to shard 1.
+	// Sessions 0,2,4 pin to shard 0; 1,3 to shard 1.
 	for i, w := range p.workers {
-		if got := w.sim.DeltaSessions(); got != 2 {
-			t.Fatalf("shard %d holds %d sessions, want 2", i, got)
+		want := 3 - i
+		if got := w.sim.DeltaSessions(); got != want {
+			t.Fatalf("shard %d holds %d sessions, want %d", i, got, want)
+		}
+		if got := scrape(t, reg, fmt.Sprintf(`cst_serve_delta_sessions{shard="%d"}`, i)); got != fmt.Sprint(want) {
+			t.Errorf("shard %d: /metrics reads %s open sessions, want %d", i, got, want)
 		}
 	}
 }
 
 // TestDeltaDeadlineAndDrain pins the 504 and 503 taxonomy for deltas: an
 // already-expired deadline settles before touching the simulator, and a
-// draining pool refuses new deltas inline.
+// draining pool refuses new deltas inline — and pairs alike, through the
+// same admission, each refusal counted once in /metrics.
 func TestDeltaDeadlineAndDrain(t *testing.T) {
-	p, err := New(Config{PEs: 16, Shards: 1})
+	reg := obs.New()
+	p, err := New(Config{PEs: 16, Shards: 1, Registry: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,6 +121,15 @@ func TestDeltaDeadlineAndDrain(t *testing.T) {
 	res = p.ScheduleDelta(2, nil, nil, 0)
 	if res.Status != http.StatusServiceUnavailable || !strings.Contains(res.Err, ErrDraining.Error()) {
 		t.Fatalf("delta while draining = %+v, want 503", res)
+	}
+	if res := p.Schedule(0, 7, 0); res.Status != http.StatusServiceUnavailable || res.Shard != -1 {
+		t.Fatalf("pair while draining = %+v, want 503 on no shard", res)
+	}
+	if got := scrape(t, reg, "cst_serve_unavailable_total"); got != "2" {
+		t.Errorf("cst_serve_unavailable_total = %s, want 2", got)
+	}
+	if st := p.Snapshot(); st.Admitted != 1 || st.Responded != 1 {
+		t.Errorf("ledger = %+v, want only the expired delta admitted and answered", st)
 	}
 }
 

@@ -55,106 +55,100 @@ type ScheduleDeltaRequest struct {
 // both traffic and introspection. pl may be nil, in which case
 // /schedule-set answers 501.
 //
-// Both POST endpoints participate in span tracing: an X-CST-Trace request
-// header continues the caller's trace, head sampling opens a fresh one, and
-// errored requests are recorded retroactively even when unsampled. Sampled
-// responses echo X-CST-Trace and carry trace_id in the body.
+// The POST endpoints participate in span tracing (see post): an
+// X-CST-Trace request header continues the caller's trace, head sampling
+// opens a fresh one, and errored requests are recorded retroactively even
+// when unsampled. Sampled responses echo X-CST-Trace and carry trace_id in
+// the body.
 func Handler(p *Pool, pl *Planner, reg *obs.Registry, tr *obs.Tracer) http.Handler {
 	mux := http.NewServeMux()
 	mux.Handle("/", obs.Handler(reg, tr))
-	mux.HandleFunc("/schedule", func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodPost {
-			http.Error(w, "POST only", http.StatusMethodNotAllowed)
-			return
-		}
-		start := time.Now()
-		remote, _ := obs.ParseTraceHeader(r.Header.Get(obs.TraceHeader))
-		sp := tr.StartServer("http.schedule", "serve", remote)
-		var req ScheduleRequest
-		if status, msg := decodeBody(w, r, &req); status != 0 {
-			finishHTTPError(w, tr, &sp, "http.schedule", start, status, msg)
-			return
-		}
-		res := p.schedule(req.Src, req.Dst, time.Duration(req.DeadlineMS)*time.Millisecond, sp.Context())
-		sctx := sp.Context()
-		if !sp.Sampled() && (res.Status >= 400 || res.Err != "") {
-			sctx = tr.EmitErrorRoot("http.schedule", "serve", start, res.Status, res.Err)
-		}
-		writeTraced(w, tr, sctx, res.Status, &res, &res.TraceID)
-		sp.SetStatus(res.Status)
-		sp.SetError(res.Err)
-		sp.End()
-	})
-	mux.HandleFunc("/schedule-set", func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodPost {
-			http.Error(w, "POST only", http.StatusMethodNotAllowed)
-			return
-		}
-		if pl == nil {
-			http.Error(w, "set planning not enabled", http.StatusNotImplemented)
-			return
-		}
-		start := time.Now()
-		remote, _ := obs.ParseTraceHeader(r.Header.Get(obs.TraceHeader))
-		sp := tr.StartServer("http.plan", "serve", remote)
-		var req ScheduleSetRequest
-		if status, msg := decodeBody(w, r, &req); status != 0 {
-			finishHTTPError(w, tr, &sp, "http.plan", start, status, msg)
-			return
-		}
-		s := &comm.Set{N: req.N, Comms: make([]comm.Comm, len(req.Comms))}
-		for i, c := range req.Comms {
-			s.Comms[i] = comm.Comm{Src: c.Src, Dst: c.Dst}
-		}
-		res := pl.plan(s, protoHTTP, true, sp.Context())
-		sctx := sp.Context()
-		if !sp.Sampled() && (res.Status >= 400 || res.Err != "") {
-			sctx = tr.EmitErrorRoot("http.plan", "serve", start, res.Status, res.Err)
-		}
-		writeTraced(w, tr, sctx, res.Status, &res, &res.TraceID)
-		sp.SetStatus(res.Status)
-		sp.SetN(s.Len())
-		sp.SetError(res.Err)
-		sp.End()
-	})
-	mux.HandleFunc("/schedule-delta", func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodPost {
-			http.Error(w, "POST only", http.StatusMethodNotAllowed)
-			return
-		}
-		start := time.Now()
-		remote, _ := obs.ParseTraceHeader(r.Header.Get(obs.TraceHeader))
-		sp := tr.StartServer("http.delta", "serve", remote)
-		var req ScheduleDeltaRequest
-		if status, msg := decodeBody(w, r, &req); status != 0 {
-			finishHTTPError(w, tr, &sp, "http.delta", start, status, msg)
-			return
-		}
-		remove := make([]comm.Comm, len(req.Remove))
-		for i, c := range req.Remove {
-			remove[i] = comm.Comm{Src: c.Src, Dst: c.Dst}
-		}
-		add := make([]comm.Comm, len(req.Add))
-		for i, c := range req.Add {
-			add[i] = comm.Comm{Src: c.Src, Dst: c.Dst}
-		}
-		res := p.scheduleDelta(req.Session, remove, add,
-			time.Duration(req.DeadlineMS)*time.Millisecond, sp.Context())
-		sctx := sp.Context()
-		if !sp.Sampled() && (res.Status >= 400 || res.Err != "") {
-			sctx = tr.EmitErrorRoot("http.delta", "serve", start, res.Status, res.Err)
-		}
-		writeTraced(w, tr, sctx, res.Status, &res, &res.TraceID)
-		sp.SetStatus(res.Status)
-		sp.SetN(res.Rounds)
-		sp.SetError(res.Err)
-		sp.End()
-	})
+	mux.Handle("/schedule", post(tr, "http.schedule", func(req *ScheduleRequest, sctx obs.SpanContext) reply {
+		res := p.schedule(req.Src, req.Dst, time.Duration(req.DeadlineMS)*time.Millisecond, sctx)
+		return reply{&res, &res.TraceID, res.Status, res.Err, 0}
+	}))
+	mux.Handle("/schedule-set", post(tr, "http.plan", func(req *ScheduleSetRequest, sctx obs.SpanContext) reply {
+		res := pl.plan(&comm.Set{N: req.N, Comms: comms(req.Comms)}, protoHTTP, true, sctx)
+		return reply{&res, &res.TraceID, res.Status, res.Err, len(req.Comms)}
+	}))
+	mux.Handle("/schedule-delta", post(tr, "http.delta", func(req *ScheduleDeltaRequest, sctx obs.SpanContext) reply {
+		res := p.scheduleDelta(req.Session, comms(req.Remove), comms(req.Add),
+			time.Duration(req.DeadlineMS)*time.Millisecond, sctx)
+		return reply{&res, &res.TraceID, res.Status, res.Err, res.Rounds}
+	}))
 	mux.HandleFunc("/statusz", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
 		_ = json.NewEncoder(w).Encode(p.Snapshot())
 	})
 	return mux
+}
+
+// comms converts request pairs to communications.
+func comms(pairs []SetComm) []comm.Comm {
+	out := make([]comm.Comm, len(pairs))
+	for i, c := range pairs {
+		out[i] = comm.Comm{Src: c.Src, Dst: c.Dst}
+	}
+	return out
+}
+
+// reply is one /schedule* answer: the JSON body and its trace_id field,
+// and the status, error and N its root span records.
+type reply struct {
+	body    any
+	traceID *string
+	status  int
+	err     string
+	n       int
+}
+
+// post builds the handler of one traced JSON POST endpoint. It refuses
+// other methods with 405, continues an X-CST-Trace context or
+// head-samples a fresh root span named root, decodes the body into a Req
+// and answers it through serve under the root's context. An error answer
+// that was not sampled gets a retroactive root, so its trace id reaches
+// the client at any sample rate; a traced answer echoes X-CST-Trace, and
+// its body carries trace_id and is written under a response.write span.
+func post[Req any](tr *obs.Tracer, root string, serve func(*Req, obs.SpanContext) reply) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		if r.Method != http.MethodPost {
+			http.Error(w, "POST only", http.StatusMethodNotAllowed)
+			return
+		}
+		start := time.Now()
+		remote, _ := obs.ParseTraceHeader(r.Header.Get(obs.TraceHeader))
+		sp := tr.StartServer(root, "serve", remote)
+		var req Req
+		var rep reply
+		if status, msg := decodeBody(w, r, &req); status != 0 {
+			rep = reply{status: status, err: msg}
+		} else {
+			rep = serve(&req, sp.Context())
+		}
+		sctx := sp.Context()
+		if !sp.Sampled() && (rep.status >= 400 || rep.err != "") {
+			sctx = tr.EmitErrorRoot(root, "serve", start, rep.status, rep.err)
+		}
+		if sctx.Valid() {
+			w.Header().Set(obs.TraceHeader, obs.FormatTraceHeader(sctx))
+		}
+		if rep.body == nil { // the body did not decode: a plain-text error
+			http.Error(w, rep.err, rep.status)
+		} else {
+			if sctx.Valid() {
+				*rep.traceID = sctx.Trace.String()
+			}
+			w.Header().Set("Content-Type", "application/json")
+			w.WriteHeader(rep.status)
+			wsp := tr.StartSpan(sctx, "response.write", "serve")
+			_ = json.NewEncoder(w).Encode(rep.body)
+			wsp.End()
+		}
+		sp.SetStatus(rep.status)
+		sp.SetN(rep.n)
+		sp.SetError(rep.err)
+		sp.End()
+	}
 }
 
 // maxBodyBytes caps a /schedule* request body, so an oversized payload is
@@ -175,37 +169,4 @@ func decodeBody(w http.ResponseWriter, r *http.Request, v any) (int, string) {
 		return http.StatusRequestEntityTooLarge, fmt.Sprintf("request body over %d bytes", maxBodyBytes)
 	}
 	return http.StatusBadRequest, "bad JSON: " + err.Error()
-}
-
-// writeTraced writes one JSON response body, stamping the trace id into the
-// body (via traceID, a pointer into body) and the X-CST-Trace response
-// header when the request is traced, and recording the encode as a
-// "response.write" child span when sampled.
-func writeTraced(w http.ResponseWriter, tr *obs.Tracer, sctx obs.SpanContext, status int, body any, traceID *string) {
-	if sctx.Valid() {
-		*traceID = sctx.Trace.String()
-		w.Header().Set(obs.TraceHeader, obs.FormatTraceHeader(sctx))
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	wsp := tr.StartSpan(sctx, "response.write", "serve")
-	_ = json.NewEncoder(w).Encode(body)
-	wsp.End()
-}
-
-// finishHTTPError answers a pre-admission failure (malformed payload),
-// closing the root span — or retroactively recording one — so the error is
-// attributable at any sample rate.
-func finishHTTPError(w http.ResponseWriter, tr *obs.Tracer, sp *obs.Span, name string, start time.Time, status int, msg string) {
-	sctx := sp.Context()
-	if !sp.Sampled() {
-		sctx = tr.EmitErrorRoot(name, "serve", start, status, msg)
-	}
-	if sctx.Valid() {
-		w.Header().Set(obs.TraceHeader, obs.FormatTraceHeader(sctx))
-	}
-	http.Error(w, msg, status)
-	sp.SetStatus(status)
-	sp.SetError(msg)
-	sp.End()
 }

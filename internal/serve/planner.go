@@ -157,8 +157,12 @@ func (p *Planner) Plan(s *comm.Set, proto uint8, includeRounds bool) SetResult {
 
 // plan is Plan attributed to a request trace, the path both transports
 // share: when sctx is sampled, a "serve.plan" span covering the whole call
-// is emitted, and the hybrid pipeline stages become its children.
+// is emitted, and the hybrid pipeline stages become its children. A nil
+// Planner answers 501: set planning is not enabled.
 func (p *Planner) plan(s *comm.Set, proto uint8, includeRounds bool, sctx obs.SpanContext) (res SetResult) {
+	if p == nil {
+		return SetResult{Status: 501, Err: "serve: set planning not enabled"}
+	}
 	start := time.Now()
 	var planCtx obs.SpanContext
 	if p.cfg.Tracer != nil && sctx.Valid() {

@@ -134,19 +134,17 @@ const (
 var protoNames = [protoCount]string{protoHTTP: "http", protoWire: "wire"}
 
 // call is one in-flight request: the admission payload plus its completion
-// path. The HTTP path blocks on resp (buffered so the worker's settle
-// never blocks on a slow client); the wire path sets done instead, and
-// settle invokes it on the worker goroutine — the callback must hand off
-// (a channel send to the connection's writer) rather than do work. Wire
-// calls are embedded in per-connection slots and reused, which is what
-// keeps that path allocation-free.
+// path. done receives the terminal Result, on the worker goroutine or,
+// for an inline refusal, the admitting one; it must hand off (a buffered
+// channel send to the blocked HTTP caller or to the wire connection's
+// writer) rather than do work. Wire calls are embedded in per-connection
+// slots and reused, which is what keeps that path allocation-free.
 type call struct {
 	src, dst int
 	id       uint64 // wire request id, echoed in the response frame
 	proto    uint8
 	deadline time.Time
 	enq      time.Time
-	resp     chan Result
 	done     func(Result)
 	// sctx is the request's span context (zero when unsampled); waveT is
 	// when the call's submission wave started, the serve.dispatch span's
@@ -155,7 +153,8 @@ type call struct {
 	sctx  obs.SpanContext
 	waveT time.Time
 	// delta marks a session-delta call (see delta.go): it rides the same
-	// admission channel but is served inline by the worker, never batched.
+	// admission channel but is served inline by the worker, never batched,
+	// and its answer goes to delta.done instead of done.
 	delta *serveDelta
 }
 
@@ -187,8 +186,7 @@ type poolMetrics struct {
 	queueDepth  *obs.Gauge
 	inflight    *obs.Gauge
 	batchSize   *obs.Histogram
-	latency     *obs.Histogram
-	latencyQ    *obs.Summary
+	latency     *obs.Summary
 	proto       [protoCount]protoMetrics
 }
 
@@ -199,8 +197,7 @@ type poolMetrics struct {
 type protoMetrics struct {
 	requests  *obs.Counter
 	scheduled *obs.Counter
-	latency   *obs.Histogram
-	latencyQ  *obs.Summary
+	latency   *obs.Summary
 }
 
 func newProtoMetrics(r *obs.Registry, protocol string) protoMetrics {
@@ -208,8 +205,7 @@ func newProtoMetrics(r *obs.Registry, protocol string) protoMetrics {
 	return protoMetrics{
 		requests:  r.Counter("cst_serve_requests_total"+lbl, "scheduling requests received"),
 		scheduled: r.Counter("cst_serve_scheduled_total"+lbl, "requests scheduled and completed"),
-		latency:   r.Histogram("cst_serve_request_seconds"+lbl, "wall-clock request latency", obs.ExponentialBuckets(0.0001, 2, 16)),
-		latencyQ:  r.Summary("cst_serve_latency"+lbl, "wall-clock request latency in seconds, exact quantiles over the last 4096 requests", 0),
+		latency:   r.Summary("cst_serve_latency"+lbl, "wall-clock request latency in seconds, exact quantiles over the last 4096 requests", 0),
 	}
 }
 
@@ -226,8 +222,7 @@ func newPoolMetrics(r *obs.Registry) poolMetrics {
 		queueDepth:  r.Gauge("cst_serve_queue_depth", "requests sitting in admission queues"),
 		inflight:    r.Gauge("cst_serve_inflight", "requests admitted and not yet answered"),
 		batchSize:   r.Histogram("cst_serve_batch_size", "requests per flushed batch", obs.ExponentialBuckets(1, 2, 10)),
-		latency:     r.Histogram("cst_serve_request_seconds", "wall-clock request latency", obs.ExponentialBuckets(0.0001, 2, 16)),
-		latencyQ:    r.Summary("cst_serve_latency", "wall-clock request latency in seconds, exact quantiles over the last 4096 requests", 0),
+		latency:     r.Summary("cst_serve_latency", "wall-clock request latency in seconds, exact quantiles over the last 4096 requests", 0),
 	}
 	for i, name := range protoNames {
 		m.proto[i] = newProtoMetrics(r, name)
@@ -260,15 +255,16 @@ type Pool struct {
 	drainErr  error
 }
 
-// worker owns one shard: the simulator, the admission channel and the
+// worker owns one shard: the simulator, the admission channel, the
 // waiter map keyed by (src, dst) — unique among in-queue requests because
-// Submit rejects busy endpoints.
+// Submit rejects busy endpoints — and the shard's open-sessions gauge.
 type worker struct {
-	id   int
-	pool *Pool
-	sim  *online.Simulator
-	ch   chan *call
-	wait map[[2]int]*call
+	id       int
+	pool     *Pool
+	sim      *online.Simulator
+	ch       chan *call
+	wait     map[[2]int]*call
+	sessions *obs.Gauge
 
 	// Steady-state scratch, confined to the worker goroutine: the batch
 	// under collection and two alternating wave buffers for flush's
@@ -307,6 +303,8 @@ func New(cfg Config) (*Pool, error) {
 			sim:  sim,
 			ch:   make(chan *call, cfg.QueueDepth),
 			wait: make(map[[2]int]*call),
+			sessions: cfg.Registry.Gauge(fmt.Sprintf(`cst_serve_delta_sessions{shard="%d"}`, i),
+				"delta sessions open on the shard"),
 		})
 	}
 	return p, nil
@@ -341,64 +339,79 @@ func (p *Pool) Schedule(src, dst int, deadline time.Duration) Result {
 // and serve.dispatch child spans for the request's path through the
 // admission queue and its shard's dispatch wave.
 func (p *Pool) schedule(src, dst int, deadline time.Duration, sctx obs.SpanContext) Result {
-	c := &call{proto: protoHTTP, resp: make(chan Result, 1)}
+	resp := make(chan Result, 1)
+	c := &call{proto: protoHTTP, done: func(res Result) { resp <- res }}
 	c.arm(src, dst, deadline)
 	c.sctx = sctx
-	if res, ok := p.admit(c); !ok {
-		return res
-	}
-	return <-c.resp
+	p.admit(c)
+	return <-resp
 }
 
-// admit validates and enqueues one armed call. A false return means the
-// request was refused inline and the Result is terminal (bad endpoints,
-// draining, queue full) — such refusals never touch the admitted ledger.
-// A true return means the call is in a shard's queue and its terminal
-// Result will arrive through c.resp or c.done. The wire path calls this
-// directly with pooled calls; allocation-free on admission.
-func (p *Pool) admit(c *call) (Result, bool) {
+// admit validates and enqueues one armed call, pair or delta. A refusal is
+// answered inline through the call's own delivery and never touches the
+// admitted ledger: 400 for a pair's bad endpoints, 503 while draining, 429
+// when no shard it may use has room. A pair tries every shard once,
+// round-robin; a delta only shard session % shards, whose simulator holds
+// the session's warm engine, so a full pinned queue is backpressure, not
+// spillover. An admitted call is answered once, through settle, by its
+// shard's worker. The wire path calls this directly with pooled calls;
+// allocation-free on admission.
+func (p *Pool) admit(c *call) {
 	p.met.requests.Inc()
 	p.met.proto[c.proto].requests.Inc()
-	src, dst := c.src, c.dst
-	if src < 0 || src >= p.cfg.PEs || dst < 0 || dst >= p.cfg.PEs || src == dst {
+	if c.delta == nil && (c.src < 0 || c.src >= p.cfg.PEs || c.dst < 0 || c.dst >= p.cfg.PEs || c.src == c.dst) {
 		p.met.badRequest.Inc()
-		return Result{Src: src, Dst: dst, Shard: -1, Status: http.StatusBadRequest,
-			Err: fmt.Sprintf("serve: bad endpoints (%d -> %d) on a %d-PE fabric", src, dst, p.cfg.PEs)}, false
+		c.refuse(http.StatusBadRequest, fmt.Sprintf("serve: bad endpoints (%d -> %d) on a %d-PE fabric", c.src, c.dst, p.cfg.PEs))
+		return
 	}
 	if c.deadline.IsZero() && p.cfg.DefaultDeadline > 0 {
 		c.deadline = c.enq.Add(p.cfg.DefaultDeadline)
 	}
-
+	// Refusals are delivered after the lock is released: delivery calls
+	// the call's callback.
 	p.admission.RLock()
-	if p.draining {
-		p.admission.RUnlock()
-		p.met.unavailable.Inc()
-		return Result{Src: src, Dst: dst, Shard: -1, Status: http.StatusServiceUnavailable, Err: ErrDraining.Error()}, false
-	}
-	// Round-robin with fallback: try every shard once, non-blocking. A
-	// request only lands where there is room; if nowhere has room, that is
-	// the backpressure signal.
-	enqueued := false
-	start := int(p.next.Add(1))
-	for i := 0; i < len(p.workers) && !enqueued; i++ {
-		w := p.workers[(start+i)%len(p.workers)]
-		select {
-		case w.ch <- c:
-			enqueued = true
-		default:
+	draining, queued := p.draining, false
+	if !draining {
+		shards := uint64(len(p.workers))
+		var start, tries uint64 = 0, 1
+		if c.delta != nil {
+			start = c.delta.session
+		} else {
+			start, tries = p.next.Add(1), shards
+		}
+		for i := uint64(0); i < tries && !queued; i++ {
+			select {
+			case p.workers[(start+i)%shards].ch <- c:
+				queued = true
+			default:
+			}
 		}
 	}
-	if enqueued {
+	if queued {
+		// The worker may answer the call, and a wire slot be reused, from
+		// here on: nothing below may touch c.
 		p.admitted.Add(1)
 		p.met.inflight.Add(1)
 		p.met.queueDepth.Add(1)
 	}
 	p.admission.RUnlock()
-	if !enqueued {
+	switch {
+	case draining:
+		p.met.unavailable.Inc()
+		c.refuse(http.StatusServiceUnavailable, ErrDraining.Error())
+	case !queued:
 		p.met.rejected.Inc()
-		return Result{Src: src, Dst: dst, Shard: -1, Status: http.StatusTooManyRequests, Err: ErrQueueFull.Error()}, false
+		c.refuse(http.StatusTooManyRequests, ErrQueueFull.Error())
 	}
-	return Result{}, true
+}
+
+// refuse delivers the terminal answer to a call admit turned away.
+func (c *call) refuse(status int, msg string) {
+	if sd := c.delta; sd != nil {
+		sd.done(DeltaResult{Session: sd.session, Status: status, Err: msg})
+		return
+	}
+	c.done(Result{Src: c.src, Dst: c.dst, Shard: -1, Status: status, Err: msg})
 }
 
 // Drain gracefully shuts the pool down: admission stops (new requests get
@@ -467,7 +480,7 @@ func (p *Pool) Snapshot() Stats {
 	for _, w := range p.workers {
 		st.QueueDepth = append(st.QueueDepth, len(w.ch))
 	}
-	snap := p.met.latencyQ.Snapshot()
+	snap := p.met.latency.Snapshot()
 	st.LatencyP99 = snap.Quantile(0.99)
 	st.LatencyMax = snap.Max
 	if id, _ := snap.Exemplar(0.99); id != 0 {
@@ -483,13 +496,32 @@ func (p *Pool) Snapshot() Stats {
 // a delta, otherwise flush it with whatever else is queued; repeat until
 // the admission channel is closed and drained.
 func (w *worker) run() {
-	for c := range w.ch {
+	for c := w.next(true); c != nil; c = w.next(true) {
 		if c.delta != nil {
 			w.serveDelta(c)
 			continue
 		}
 		w.flush(w.collect(c))
 	}
+}
+
+// next dequeues the worker's next call — waiting for one if wait is set —
+// and takes it off the queue-depth gauge. It returns nil once the queue is
+// closed and drained, or when nothing is queued and wait is unset.
+func (w *worker) next(wait bool) *call {
+	var c *call
+	if wait {
+		c = <-w.ch
+	} else {
+		select {
+		case c = <-w.ch:
+		default:
+		}
+	}
+	if c != nil {
+		w.pool.met.queueDepth.Add(-1)
+	}
+	return c
 }
 
 // collect gathers a batch starting from first: every request already
@@ -502,21 +534,16 @@ func (w *worker) run() {
 // next collect. Expired requests are left to flush, which settles them 504.
 func (w *worker) collect(first *call) []*call {
 	batch := append(w.batchScratch[:0], first)
-gather:
 	for len(batch) < w.pool.cfg.BatchMax {
-		select {
-		case c, ok := <-w.ch:
-			if !ok {
-				break gather
-			}
-			if c.delta != nil {
-				w.serveDelta(c)
-				continue
-			}
-			batch = append(batch, c)
-		default:
-			break gather
+		c := w.next(false)
+		if c == nil {
+			break
 		}
+		if c.delta != nil {
+			w.serveDelta(c)
+			continue
+		}
+		batch = append(batch, c)
 	}
 	w.batchScratch = batch
 	return batch
@@ -533,7 +560,6 @@ func (w *worker) flush(batch []*call) {
 	met := &w.pool.met
 	met.flushes.Inc()
 	met.batchSize.Observe(float64(len(batch)))
-	met.queueDepth.Add(-int64(len(batch)))
 	// Trace work is gated on the batch containing at least one sampled
 	// call: an unsampled batch pays two pointer tests and nothing else, so
 	// the wire pair path stays allocation-free with a tracer attached.
@@ -583,7 +609,7 @@ func (w *worker) flush(batch []*call) {
 				// watchdog's ErrDeadline is what a stalled fabric would
 				// have reported.
 				met.deadline.Inc()
-				w.settle(c, Result{Status: http.StatusGatewayTimeout,
+				w.answer(c, Result{Status: http.StatusGatewayTimeout,
 					Err: fmt.Sprintf("serve: %v before dispatch", fault.ErrDeadline)})
 				continue
 			}
@@ -616,7 +642,7 @@ func (w *worker) flush(batch []*call) {
 			// per the online drain invariants). Fail the stragglers
 			// rather than spin.
 			for _, c := range deferred {
-				w.settle(c, Result{Status: http.StatusInternalServerError, Err: errUnschedulable.Error()})
+				w.answer(c, Result{Status: http.StatusInternalServerError, Err: errUnschedulable.Error()})
 			}
 			return
 		}
@@ -655,7 +681,7 @@ func (w *worker) settleRecords() {
 		delete(w.wait, key)
 		met.scheduled.Inc()
 		met.proto[c.proto].scheduled.Inc()
-		w.settle(c, Result{
+		w.answer(c, Result{
 			Status:        http.StatusOK,
 			Arrival:       rec.Arrival,
 			Dispatched:    rec.Dispatched,
@@ -671,48 +697,52 @@ func (w *worker) settleRecords() {
 		}
 		delete(w.wait, key)
 		met.quarantined.Inc()
-		w.settle(c, Result{Status: http.StatusInternalServerError,
+		w.answer(c, Result{Status: http.StatusInternalServerError,
 			Err: "serve: batch quarantined after exhausting dispatch attempts"})
 	}
 }
 
-// settle delivers the terminal result for one admitted call. Every
-// admitted call is settled exactly once. HTTP calls get a send on their
-// buffered response channel (a departed client cannot block the worker);
-// wire calls get their done callback, which hands the pooled call to its
-// connection's writer goroutine.
-func (w *worker) settle(c *call, res Result) {
+// answer settles one admitted pair call and delivers its Result.
+func (w *worker) answer(c *call, res Result) {
 	res.Src, res.Dst, res.Shard = c.src, c.dst, w.id
-	w.pool.responded.Add(1)
-	w.pool.met.inflight.Add(-1)
-	lat := time.Since(c.enq)
+	w.settle(c, res.Status, res.Err, res.LatencyRounds)
+	c.done(res)
+}
+
+// settle books the terminal answer of one admitted call, pair or delta,
+// just before its result is delivered: the admitted/responded ledger, the
+// in-flight gauge, the latency summaries and, when the call is sampled,
+// its serve.dispatch or serve.delta span (n is the span's N: latency
+// rounds or schedule rounds). Every admitted call is settled exactly once.
+func (w *worker) settle(c *call, status int, errmsg string, n int) {
+	p := w.pool
+	p.responded.Add(1)
+	p.met.inflight.Add(-1)
+	lat := time.Since(c.enq).Seconds()
 	var trace obs.TraceID
 	if c.sctx.Valid() {
 		trace = c.sctx.Trace
 	}
-	w.pool.met.latency.ObserveDuration(lat)
-	w.pool.met.latencyQ.ObserveTraced(lat.Seconds(), trace)
-	pm := &w.pool.met.proto[c.proto]
-	pm.latency.ObserveDuration(lat)
-	pm.latencyQ.ObserveTraced(lat.Seconds(), trace)
-	if w.pool.tracer != nil && c.sctx.Valid() {
-		tr := w.pool.tracer
-		start := c.waveT
-		if start.IsZero() {
-			start = c.enq // settled before ever reaching a wave (deadline miss)
-		}
-		tr.EmitSpan(obs.SpanRecord{
-			Trace: c.sctx.Trace, Span: tr.NewSpanID(), Parent: c.sctx.Span,
-			Name: "serve.dispatch", Engine: "serve",
-			Start: start, End: time.Now(),
-			Status: res.Status, N: res.LatencyRounds, Err: res.Err,
-		})
-		tr.Emit(obs.Event{Type: "serve.done", Engine: "serve",
-			Round: w.sim.Now(), N: res.Status})
-	}
-	if c.done != nil {
-		c.done(res)
+	p.met.latency.ObserveTraced(lat, trace)
+	p.met.proto[c.proto].latency.ObserveTraced(lat, trace)
+	if p.tracer == nil || !c.sctx.Valid() {
 		return
 	}
-	c.resp <- res
+	tr := p.tracer
+	name, start := "serve.dispatch", c.waveT
+	if c.delta != nil {
+		name = "serve.delta"
+	}
+	if start.IsZero() {
+		start = c.enq // a delta, or a pair settled before reaching a wave (deadline miss)
+	}
+	tr.EmitSpan(obs.SpanRecord{
+		Trace: c.sctx.Trace, Span: tr.NewSpanID(), Parent: c.sctx.Span,
+		Name: name, Engine: "serve",
+		Start: start, End: time.Now(),
+		Status: status, N: n, Err: errmsg,
+	})
+	if c.delta == nil {
+		tr.Emit(obs.Event{Type: "serve.done", Engine: "serve", Round: w.sim.Now(), N: status})
+	}
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -23,6 +24,30 @@ func drainOK(t *testing.T, p *Pool) {
 	if err := p.Drain(ctx); err != nil {
 		t.Fatalf("drain: %v", err)
 	}
+}
+
+// scrape reads one series' value off reg the way a metrics scraper does:
+// GET /metrics on the served mux, then the line that names the series.
+func scrape(t *testing.T, reg *obs.Registry, series string) string {
+	t.Helper()
+	srv := httptest.NewServer(obs.Handler(reg, nil))
+	defer srv.Close()
+	resp, err := http.Get(srv.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range strings.Split(string(body), "\n") {
+		if v, ok := strings.CutPrefix(line, series+" "); ok {
+			return v
+		}
+	}
+	t.Fatalf("/metrics has no %s series", series)
+	return ""
 }
 
 func TestScheduleBasic(t *testing.T) {
@@ -201,7 +226,8 @@ func TestQuarantine(t *testing.T) {
 	for run := 0; run < online.MaxDispatchAttempts; run++ {
 		plan = append(plan, fault.Fault{Kind: fault.FreezeSwitch, Node: 1, Run: run, Round: 0, Duration: 64})
 	}
-	p, err := New(Config{PEs: 16, Shards: 1, Faults: plan})
+	reg := obs.New()
+	p, err := New(Config{PEs: 16, Shards: 1, Faults: plan, Registry: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,6 +239,9 @@ func TestQuarantine(t *testing.T) {
 		t.Fatalf("request after quarantine: status %d (%s), want 200", res.Status, res.Err)
 	}
 	drainOK(t, p)
+	if got := scrape(t, reg, "cst_serve_quarantined_total"); got != "1" {
+		t.Errorf("cst_serve_quarantined_total = %s, want 1", got)
+	}
 }
 
 // TestDrainZeroLoss is the headline drain property: under concurrent load,
@@ -318,18 +347,26 @@ func TestMetricsExposed(t *testing.T) {
 		"cst_serve_queue_depth 0",
 		"cst_serve_inflight 0",
 		"cst_serve_batch_size_count 1",
-		"cst_serve_request_seconds_count 1",
+		"cst_serve_latency_count 1",
 		"cst_online_completed_total 1", // EngineMetrics threads through
 	} {
 		if !strings.Contains(out, series) {
 			t.Errorf("/metrics missing %q", series)
 		}
 	}
+	if strings.Contains(out, "cst_serve_request_seconds") {
+		t.Error("/metrics still exposes the deleted cst_serve_request_seconds histograms")
+	}
 }
 
+// TestHTTPHandler checks the three POST endpoints alike — method, decode
+// and size errors, the retroactive error root at sampling 0 and an
+// upstream trace continued on a 200 — then the set answer's shape and the
+// introspection endpoints.
 func TestHTTPHandler(t *testing.T) {
 	reg := obs.New()
 	tr := obs.NewTracer(nil, 1024)
+	tr.SetSampleRate(0)
 	p, err := New(Config{PEs: 16, Shards: 1, Registry: reg, Tracer: tr})
 	if err != nil {
 		t.Fatal(err)
@@ -339,37 +376,66 @@ func TestHTTPHandler(t *testing.T) {
 	srv := httptest.NewServer(Handler(p, pl, reg, tr))
 	defer srv.Close()
 
-	resp, err := http.Post(srv.URL+"/schedule", "application/json",
-		strings.NewReader(`{"src":0,"dst":7}`))
-	if err != nil {
-		t.Fatal(err)
+	send := func(method, path, body, traceHeader string) *http.Response {
+		t.Helper()
+		req, err := http.NewRequest(method, srv.URL+path, strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if traceHeader != "" {
+			req.Header.Set(obs.TraceHeader, traceHeader)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp
 	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("POST /schedule = %d", resp.StatusCode)
-	}
-
-	resp, err = http.Post(srv.URL+"/schedule", "application/json", strings.NewReader(`{`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("bad JSON = %d, want 400", resp.StatusCode)
-	}
-
-	resp, err = http.Get(srv.URL + "/schedule")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusMethodNotAllowed {
-		t.Fatalf("GET /schedule = %d, want 405", resp.StatusCode)
+	const upstream = "00000000000000ab-00000000000000cd-01"
+	oversized := `{"src":0` + strings.Repeat(" ", maxBodyBytes+1-len(`{"src":0}`)) + `}`
+	for _, ep := range []struct{ path, ok string }{
+		{"/schedule", `{"src":0,"dst":7}`},
+		{"/schedule-set", `{"n":16,"comms":[{"src":0,"dst":8},{"src":12,"dst":4},{"src":2,"dst":9}]}`},
+		{"/schedule-delta", `{"session":1,"add":[{"src":0,"dst":7}]}`},
+	} {
+		resp := send(http.MethodGet, ep.path, "", "")
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusMethodNotAllowed {
+			t.Errorf("GET %s = %d, want 405", ep.path, resp.StatusCode)
+		}
+		for _, bad := range []struct {
+			body   string
+			status int
+		}{{`{`, http.StatusBadRequest}, {oversized, http.StatusRequestEntityTooLarge}} {
+			resp := send(http.MethodPost, ep.path, bad.body, "")
+			resp.Body.Close()
+			if resp.StatusCode != bad.status {
+				t.Errorf("POST %s with a %d-byte body = %d, want %d", ep.path, len(bad.body), resp.StatusCode, bad.status)
+			}
+			// Nothing is head-sampled at rate 0: only the retroactive
+			// error root can have traced this answer.
+			if sctx, ok := obs.ParseTraceHeader(resp.Header.Get(obs.TraceHeader)); !ok || !sctx.Valid() {
+				t.Errorf("POST %s answered %d without an error-root %s header", ep.path, resp.StatusCode, obs.TraceHeader)
+			}
+		}
+		resp = send(http.MethodPost, ep.path, ep.ok, upstream)
+		var body struct {
+			Status  int    `json:"status"`
+			TraceID string `json:"trace_id"`
+		}
+		err := json.NewDecoder(resp.Body).Decode(&body)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusOK || body.Status != http.StatusOK {
+			t.Fatalf("POST %s = %d, body %+v (%v), want 200", ep.path, resp.StatusCode, body, err)
+		}
+		if h := resp.Header.Get(obs.TraceHeader); body.TraceID != "00000000000000ab" || !strings.HasPrefix(h, "00000000000000ab-") {
+			t.Errorf("POST %s continued trace %q (header %q), want the upstream trace 00000000000000ab", ep.path, body.TraceID, h)
+		}
 	}
 
 	// A non-well-nested set (crossing pair plus a left-oriented comm)
 	// plans end to end through the hybrid pipeline.
-	resp, err = http.Post(srv.URL+"/schedule-set", "application/json",
+	resp, err := http.Post(srv.URL+"/schedule-set", "application/json",
 		strings.NewReader(`{"n":16,"comms":[{"src":0,"dst":8},{"src":12,"dst":4},{"src":2,"dst":9}]}`))
 	if err != nil {
 		t.Fatal(err)

@@ -347,23 +347,8 @@ func (s *WireServer) handle(conn net.Conn) {
 			wc.isSet, wc.isDelta = false, false
 			wc.c.arm(b.req.Src, b.req.Dst, b.req.Deadline())
 			wc.c.id = b.req.ID
-			// Open the request's root span: the frame's trace block may
-			// continue (and force-sample) the client's trace; otherwise the
-			// head decision applies. Unsampled requests get the zero Span —
-			// no allocation on this path.
-			wc.sp = s.tracer.StartServer("wire.schedule", "serve", obs.SpanContext{
-				Trace:   obs.TraceID(b.req.Trace),
-				Span:    obs.SpanID(b.req.Span),
-				Sampled: b.req.Flags&wire.FlagSampled != 0,
-			})
-			wc.c.sctx = wc.sp.Context()
-			if res, ok := s.pool.admit(&wc.c); !ok {
-				// Inline refusal (bad endpoints, draining, queue full):
-				// the call never reached a worker, so route the slot to
-				// the writer directly.
-				wc.res = res
-				b.out <- wc
-			}
+			s.startRoot(wc, "wire.schedule", b.req.Trace, b.req.Span, b.req.Flags)
+			s.pool.admit(&wc.c)
 		case wire.TypeSetRequest:
 			if err := wire.ParseSetRequestV(body, &b.setReq, wire.Version); err != nil {
 				s.met.protoErrs.Inc()
@@ -377,21 +362,13 @@ func (s *WireServer) handle(conn net.Conn) {
 			wc.isSet, wc.isDelta = true, false
 			wc.c.id = b.setReq.ID
 			wc.c.enq = time.Now()
-			wc.sp = s.tracer.StartServer("wire.plan", "serve", obs.SpanContext{
-				Trace:   obs.TraceID(b.setReq.Trace),
-				Span:    obs.SpanID(b.setReq.Span),
-				Sampled: b.setReq.Flags&wire.FlagSampled != 0,
-			})
+			s.startRoot(wc, "wire.plan", b.setReq.Trace, b.setReq.Span, b.setReq.Flags)
 			b.set.N = b.setReq.N
 			b.set.Comms = b.set.Comms[:0]
 			for _, pr := range b.setReq.Pairs {
 				b.set.Comms = append(b.set.Comms, comm.Comm{Src: pr[0], Dst: pr[1]})
 			}
-			if s.cfg.Planner == nil {
-				wc.setRes = SetResult{Status: 501, Err: "serve: set planning not enabled"}
-			} else {
-				wc.setRes = s.cfg.Planner.plan(&b.set, protoWire, false, wc.sp.Context())
-			}
+			wc.setRes = s.cfg.Planner.plan(&b.set, protoWire, false, wc.c.sctx)
 			b.out <- wc
 		case wire.TypeDeltaRequest:
 			// Lease the slot BEFORE decoding: the delta decode scratch is
@@ -406,12 +383,7 @@ func (s *WireServer) handle(conn net.Conn) {
 			wc.isSet, wc.isDelta = false, true
 			wc.c.arm(0, 0, wc.dreq.Deadline())
 			wc.c.id = wc.dreq.ID
-			wc.sp = s.tracer.StartServer("wire.delta", "serve", obs.SpanContext{
-				Trace:   obs.TraceID(wc.dreq.Trace),
-				Span:    obs.SpanID(wc.dreq.Span),
-				Sampled: wc.dreq.Flags&wire.FlagSampled != 0,
-			})
-			wc.c.sctx = wc.sp.Context()
+			s.startRoot(wc, "wire.delta", wc.dreq.Trace, wc.dreq.Span, wc.dreq.Flags)
 			sd := &wc.delta
 			sd.session = wc.dreq.Session
 			sd.remove = sd.remove[:0]
@@ -423,10 +395,7 @@ func (s *WireServer) handle(conn net.Conn) {
 				sd.add = append(sd.add, comm.Comm{Src: pr[0], Dst: pr[1]})
 			}
 			wc.c.delta = sd
-			if res, ok := s.pool.admitDelta(&wc.c); !ok {
-				wc.deltaRes = res
-				b.out <- wc
-			}
+			s.pool.admit(&wc.c)
 		default:
 			// A response frame from a client is as fatal as a type the
 			// decoder never heard of.
@@ -451,6 +420,19 @@ teardown:
 	if s.tracer != nil {
 		s.tracer.Emit(obs.Event{Type: "wire.conn", Engine: "serve", Round: -1, N: 0})
 	}
+}
+
+// startRoot opens a request's root span from its frame's trace block and
+// arms the slot's call with its context: the block may continue (and
+// force-sample) the client's trace; otherwise the head decision applies.
+// An unsampled request gets the zero Span — no allocation on this path.
+func (s *WireServer) startRoot(wc *wireCall, name string, trace, span uint64, flags uint8) {
+	wc.sp = s.tracer.StartServer(name, "serve", obs.SpanContext{
+		Trace:   obs.TraceID(trace),
+		Span:    obs.SpanID(span),
+		Sampled: flags&wire.FlagSampled != 0,
+	})
+	wc.c.sctx = wc.sp.Context()
 }
 
 // writeLoop drains settled slots, encodes their response frames and
