@@ -14,7 +14,8 @@ import (
 // arbitrary mixed set and checks sched.FirstFit's occupancy table against
 // the conflict-graph first-fit it replaces: source-order assignGreedy on
 // Graph. Both must give the same rounds with the same contents in the same
-// order, and the table's width must be the graph's.
+// order, and the table's width must be the graph's. Graph's adjacency
+// lists must match a brute-force scan.
 func FuzzOccupancyFirstFit(f *testing.F) {
 	f.Add([]byte{0, 5, 3, 8, 12, 6, 14, 9}, uint8(0))
 	f.Add([]byte{0, 8, 1, 9, 2, 10, 3, 11}, uint8(1))
@@ -44,6 +45,30 @@ func FuzzOccupancyFirstFit(f *testing.F) {
 		}
 		if err := got.Verify(tr); err != nil {
 			t.Fatalf("set %v: %v", s.Comms, err)
+		}
+		// Graph lists each circuit sharing a directed link with i once,
+		// in ascending order.
+		links := make([]map[topology.Edge]bool, s.Len())
+		for i, c := range s.Comms {
+			links[i] = map[topology.Edge]bool{}
+			_ = tr.EachPathEdge(c.Src, c.Dst, func(e topology.Edge) { links[i][e] = true })
+		}
+		for i := range s.Comms {
+			var adj []int
+			for j := range s.Comms {
+				if j == i {
+					continue
+				}
+				for e := range links[j] {
+					if links[i][e] {
+						adj = append(adj, j)
+						break
+					}
+				}
+			}
+			if !slices.Equal(g.Adj[i], adj) {
+				t.Fatalf("set %v: Adj[%d] = %v, want %v", s.Comms, i, g.Adj[i], adj)
+			}
 		}
 	})
 }

@@ -126,22 +126,28 @@ func Graph(t *topology.Tree, s *comm.Set) *ConflictGraph {
 			start[e+1]++
 		}
 	}
-	// The neighbours of i are the other users of its links, each listed
-	// once: seen[j] == i+1 once j is. All lists share one backing array.
+	// The neighbours of i are the other users of its links: mark each
+	// (seen[j] == i+1), then list the marked index range in order, so every
+	// list comes out ascending without a sort. All lists share one backing
+	// array.
 	g := &ConflictGraph{Adj: make([][]int, n), set: s, width: width}
 	flat := make([]int, 0, min(pairs, n*(n-1)))
 	seen := make([]int, n)
 	for i := 0; i < n; i++ {
-		begin := len(flat)
+		begin, lo, hi := len(flat), n, -1
 		for _, e := range links[off[i]:off[i+1]] {
 			for _, j := range users[start[e]:start[e+1]] {
-				if j != i && seen[j] != i+1 {
+				if j != i {
 					seen[j] = i + 1
-					flat = append(flat, j)
+					lo, hi = min(lo, j), max(hi, j)
 				}
 			}
 		}
-		slices.Sort(flat[begin:])
+		for j := lo; j <= hi; j++ {
+			if seen[j] == i+1 {
+				flat = append(flat, j)
+			}
+		}
 		g.Adj[i] = flat[begin:len(flat):len(flat)]
 	}
 	return g

@@ -597,6 +597,30 @@ func runE10(w io.Writer, cfg Config) error {
 	// circuits on every recurrence.
 	phaseA := []comm.Comm{{Src: 0, Dst: 5}, {Src: 8, Dst: 13}, {Src: 16, Dst: 21}}
 	phaseB := []comm.Comm{{Src: 32, Dst: 37}, {Src: 40, Dst: 45}, {Src: 48, Dst: 53}}
+
+	tab := stats.NewTable("cycles", "hold changes", "drop changes", "hold conn·rounds", "drop conn·rounds", "crossover HoldCost/SetCost")
+	ok := true
+	for _, cycles := range cyclesList {
+		hold, drop, err := holdDrop(tr, cycles, phaseA, phaseB)
+		if err != nil {
+			return err
+		}
+		bh := energy.Evaluate(tr, hold, energy.Paper)
+		bd := energy.Evaluate(tr, drop, energy.Paper)
+		h, exists := energy.Crossover(tr, hold, drop, 1)
+		ok = ok && exists && bh.Total < bd.Total
+		tab.AddRow(cycles, bh.Changes, bd.Changes, bh.ConnectionRounds, bd.ConnectionRounds, h)
+	}
+	fmt.Fprint(w, tab.Markdown())
+	fmt.Fprintf(w, "\nObserved: holding wins under the paper model (HoldCost 0) on every row = %v; the crossover climbs toward HoldCost = SetCost as recurrences accumulate — i.e. the longer a pattern repeats, the more hold cost the PADR strategy tolerates before drop-when-idle wins.\n", ok)
+	return nil
+}
+
+// holdDrop builds both policies' per-cycle crossbar configurations for
+// traffic that alternates between phases a and b, starting with a: hold
+// keeps every circuit once established (a, then a and b together), drop
+// keeps only the active phase's circuits.
+func holdDrop(tr *topology.Tree, cycles int, a, b []comm.Comm) (hold, drop []deliver.RoundConfig, err error) {
 	snapshot := func(sets ...[]comm.Comm) (deliver.RoundConfig, error) {
 		switches := circuit.NewSwitches(tr)
 		for _, set := range sets {
@@ -610,44 +634,31 @@ func runE10(w io.Writer, cfg Config) error {
 		tr.EachSwitch(func(nd topology.Node) { out[nd] = switches[nd].Config() })
 		return out, nil
 	}
-	cfgA, err := snapshot(phaseA)
+	cfgA, err := snapshot(a)
 	if err != nil {
-		return err
+		return nil, nil, err
 	}
-	cfgB, err := snapshot(phaseB)
+	cfgB, err := snapshot(b)
 	if err != nil {
-		return err
+		return nil, nil, err
 	}
-	cfgAB, err := snapshot(phaseA, phaseB)
+	cfgAB, err := snapshot(a, b)
 	if err != nil {
-		return err
+		return nil, nil, err
 	}
-
-	tab := stats.NewTable("cycles", "hold changes", "drop changes", "hold conn·rounds", "drop conn·rounds", "crossover HoldCost/SetCost")
-	ok := true
-	for _, cycles := range cyclesList {
-		var hold, drop []deliver.RoundConfig
-		for i := 0; i < cycles; i++ {
-			if i == 0 {
-				hold = append(hold, cfgA)
-			} else {
-				hold = append(hold, cfgAB)
-			}
-			if i%2 == 0 {
-				drop = append(drop, cfgA)
-			} else {
-				drop = append(drop, cfgB)
-			}
+	for i := 0; i < cycles; i++ {
+		if i == 0 {
+			hold = append(hold, cfgA)
+		} else {
+			hold = append(hold, cfgAB)
 		}
-		bh := energy.Evaluate(tr, hold, energy.Paper)
-		bd := energy.Evaluate(tr, drop, energy.Paper)
-		h, exists := energy.Crossover(tr, hold, drop, 1)
-		ok = ok && exists && bh.Total < bd.Total
-		tab.AddRow(cycles, bh.Changes, bd.Changes, bh.ConnectionRounds, bd.ConnectionRounds, h)
+		if i%2 == 0 {
+			drop = append(drop, cfgA)
+		} else {
+			drop = append(drop, cfgB)
+		}
 	}
-	fmt.Fprint(w, tab.Markdown())
-	fmt.Fprintf(w, "\nObserved: holding wins under the paper model (HoldCost 0) on every row = %v; the crossover climbs toward HoldCost = SetCost as recurrences accumulate — i.e. the longer a pattern repeats, the more hold cost the PADR strategy tolerates before drop-when-idle wins.\n", ok)
-	return nil
+	return hold, drop, nil
 }
 
 // ---------------------------------------------------------------------------
@@ -815,45 +826,11 @@ func runE13(w io.Writer, cfg Config) error {
 	if err != nil {
 		return err
 	}
-	phaseA := []comm.Comm{{Src: 0, Dst: 5}, {Src: 8, Dst: 13}}
-	phaseB := []comm.Comm{{Src: 32, Dst: 37}, {Src: 40, Dst: 45}}
-	snapshot := func(sets ...[]comm.Comm) (deliver.RoundConfig, error) {
-		switches := circuit.NewSwitches(tr)
-		for _, set := range sets {
-			for _, c := range set {
-				if err := circuit.Configure(tr, switches, c); err != nil {
-					return nil, err
-				}
-			}
-		}
-		out := deliver.RoundConfig{}
-		tr.EachSwitch(func(nd topology.Node) { out[nd] = switches[nd].Config() })
-		return out, nil
-	}
-	cfgA, err := snapshot(phaseA)
+	hold, drop, err := holdDrop(tr, cycles,
+		[]comm.Comm{{Src: 0, Dst: 5}, {Src: 8, Dst: 13}},
+		[]comm.Comm{{Src: 32, Dst: 37}, {Src: 40, Dst: 45}})
 	if err != nil {
 		return err
-	}
-	cfgB, err := snapshot(phaseB)
-	if err != nil {
-		return err
-	}
-	cfgAB, err := snapshot(phaseA, phaseB)
-	if err != nil {
-		return err
-	}
-	var hold, drop []deliver.RoundConfig
-	for i := 0; i < cycles; i++ {
-		if i == 0 {
-			hold = append(hold, cfgA)
-		} else {
-			hold = append(hold, cfgAB)
-		}
-		if i%2 == 0 {
-			drop = append(drop, cfgA)
-		} else {
-			drop = append(drop, cfgB)
-		}
 	}
 
 	// One-shot reference: a PADR chain run (every round establishes new

@@ -7,12 +7,11 @@ import (
 	"cst/internal/fault"
 )
 
-// TestDrainLosesNothing is the foundation the serving layer's graceful
-// drain relies on: a simulator carrying queued batches, mid-stream
-// arrivals and a poisoned batch (quarantined after exhausting its dispatch
-// attempts) is quiesced, and every submitted request must surface exactly
-// once — either as a completion or as a quarantine record — with all
-// busyPE reservations released.
+// TestDrainLosesNothing pins the queue's accounting: a simulator carrying
+// queued batches, mid-stream arrivals and a poisoned batch (quarantined
+// after exhausting its dispatch attempts) is quiesced, and every submitted
+// request must surface exactly once — either as a completion or as a
+// quarantine record — with all busyPE reservations released.
 func TestDrainLosesNothing(t *testing.T) {
 	// Freeze the root switch for the first MaxDispatchAttempts engine runs:
 	// the first dispatched batch fails every attempt and is quarantined;
@@ -43,9 +42,9 @@ func TestDrainLosesNothing(t *testing.T) {
 	}
 
 	// quiesce dispatches until the queue is empty, tolerating quarantine
-	// errors (the batch is expelled and reported via TakeQuarantined) —
-	// exactly the loop the serve layer's flush runs. A dispatch that errors
-	// without shrinking the queue would wedge the loop, so guard progress.
+	// errors (the batch is expelled and recorded in Stats.Quarantined). A
+	// dispatch that errors without shrinking the queue would wedge the
+	// loop, so guard progress.
 	quiesce := func() {
 		t.Helper()
 		for s.QueueLen() > 0 {
@@ -81,29 +80,26 @@ func TestDrainLosesNothing(t *testing.T) {
 		comm.Comm{Src: 8, Dst: 11},
 	)
 
-	// Consume the incremental views mid-stream; the remainder is taken
+	// Consume the incremental view mid-stream; the remainder is taken
 	// after the final quiesce. Concatenated they must cover everything.
 	var completed []Completed
-	var quarantined []Request
 	completed = append(completed, s.TakeCompleted()...)
-	quarantined = append(quarantined, s.TakeQuarantined()...)
 
 	quiesce()
 	submit(comm.Comm{Src: 5, Dst: 2}, comm.Comm{Src: 10, Dst: 14})
 	quiesce()
 	completed = append(completed, s.TakeCompleted()...)
-	quarantined = append(quarantined, s.TakeQuarantined()...)
 
 	st := s.Finish()
+	quarantined := st.Quarantined
 	if st.Leftover != 0 {
 		t.Fatalf("leftover = %d, want 0", st.Leftover)
 	}
 	if got := s.BusyPEs(); got != 0 {
 		t.Fatalf("busy PEs after drain = %d, want 0 (leaked reservations)", got)
 	}
-	if len(completed) != len(st.Completed) || len(quarantined) != len(st.Quarantined) {
-		t.Fatalf("incremental views saw %d/%d records, stats have %d/%d",
-			len(completed), len(quarantined), len(st.Completed), len(st.Quarantined))
+	if len(completed) != len(st.Completed) {
+		t.Fatalf("incremental view saw %d records, stats have %d", len(completed), len(st.Completed))
 	}
 
 	// Every submitted request resolves exactly once.
@@ -143,7 +139,7 @@ func TestDrainLosesNothing(t *testing.T) {
 	}
 }
 
-// TestTakeCursorsAreIncremental pins the Take APIs' cursor semantics on a
+// TestTakeCursorsAreIncremental pins TakeCompleted's cursor semantics on a
 // clean run: records are handed out exactly once, Stats keeps everything.
 func TestTakeCursorsAreIncremental(t *testing.T) {
 	s, err := New(8)
@@ -168,10 +164,11 @@ func TestTakeCursorsAreIncremental(t *testing.T) {
 			t.Fatalf("round %d: second TakeCompleted = %d records, want 0", round, got)
 		}
 	}
-	if got := len(s.Finish().Completed); got != total {
+	st := s.Finish()
+	if got := len(st.Completed); got != total {
 		t.Fatalf("stats retain %d completions, want %d", got, total)
 	}
-	if got := len(s.TakeQuarantined()); got != 0 {
-		t.Fatalf("TakeQuarantined on clean run = %d, want 0", got)
+	if got := len(st.Quarantined); got != 0 {
+		t.Fatalf("quarantines on a clean run = %d, want 0", got)
 	}
 }

@@ -11,6 +11,11 @@
 // reflection adapter). A batch of width w occupies the fabric for w rounds;
 // arrivals continue to queue meanwhile.
 //
+// Serve takes a whole batch that arrives at once instead, without queueing
+// it: it splits the batch into runs by the same rule plus one more, no PE
+// in two requests of one run, and runs them back to back. Dispatch and
+// Serve share the run builder and the run executor.
+//
 // Reported metrics: per-request latency (completion round − arrival round),
 // batch shapes, and the cumulative power ledger — which stays small because
 // crossbars are shared across batches and held configurations are free.
@@ -96,43 +101,62 @@ func (s *Stats) MaxLatency() int {
 	return maxl
 }
 
+// Outcome is Serve's answer for one request of a batch.
+type Outcome struct {
+	// Dispatched is the round the request's run started; Finished the
+	// round it completed.
+	Dispatched, Finished int
+	// Err is non-nil, and the rounds zero, when the request has bad
+	// endpoints or its run was quarantined after MaxDispatchAttempts.
+	Err error
+}
+
+// pending is one request waiting for a run, with its index in Serve's
+// batch (zero in Dispatch's queue).
+type pending struct {
+	Request
+	idx int
+}
+
 // Simulator drives an online run.
 type Simulator struct {
 	tree     *topology.Tree
 	switches []*xbar.Switch // physical crossbars, indexed by node
-	queue    []Request
+	queue    []pending
 	busyPE   []bool
 	now      int
 	stats    Stats
 	inj      *fault.Injector
 
-	// Pooled scheduling state, reused across Dispatch calls: one engine for
-	// whole batches, a scratch Set for the batch, and a scratch crossbar
+	// Pooled scheduling state, reused across runs: one engine for whole
+	// runs, a scratch Set for the run, and a scratch crossbar
 	// snapshot for the failure rollback.
 	eng      *padr.Engine
 	batchSet *comm.Set
 	cfgSnap  []xbar.Config
 
-	// Dispatch scratch: the batch under construction and the double-buffer
-	// backing the post-dispatch queue. Dispatch partitions s.queue into
-	// batchScratch + queueAlt and then swaps queueAlt in as the queue, so
-	// steady-state dispatching reuses two arrays instead of allocating two
-	// slices per call.
-	batchScratch []Request
-	queueAlt     []Request
+	// Run scratch, reused across calls so steady-state dispatching and
+	// serving allocate nothing: the run under construction; the
+	// double-buffer backing the post-dispatch queue (Dispatch partitions
+	// s.queue into batchScratch + queueAlt and then swaps queueAlt in as
+	// the queue); Serve's two alternating pending lists; and the PE marks
+	// of the run being built.
+	batchScratch   []pending
+	queueAlt       []pending
+	serveA, serveB []pending
+	runPE          []bool
 
 	// observability (all optional; nil means uninstrumented)
 	reg    *obs.Registry
 	tracer *obs.Tracer
 	met    simMetrics
 	// span is the request-scoped trace context the serving layer arms
-	// around a dispatch wave (see SetSpanContext); zero means untraced.
+	// around a Serve call (see SetSpanContext); zero means untraced.
 	span obs.SpanContext
 
-	// Take cursors: how far TakeCompleted/TakeQuarantined have consumed the
-	// stats' append-only record lists.
-	takenCompleted   int
-	takenQuarantined int
+	// takenCompleted is how far TakeCompleted has consumed the stats'
+	// append-only completion records.
+	takenCompleted int
 
 	// Delta sessions (see delta.go): long-lived sets scheduled
 	// incrementally on warm engines over private crossbars.
@@ -160,11 +184,11 @@ func WithTracer(t *obs.Tracer) Option {
 }
 
 // SetSpanContext arms (or, with the zero context, disarms) a span-trace
-// context on the simulator: until changed, every Dispatch stamps its
-// batch.* trace events with the trace id and emits one "online.batch"
-// child span per dispatched batch. The serving layer sets this around a
-// flush wave that contains a sampled request. The simulator is
-// goroutine-confined, so no synchronization is needed.
+// context on the simulator: until changed, every run Dispatch or Serve
+// executes stamps its batch.* trace events with the trace id and emits one
+// "online.batch" child span. The serving layer sets this around a flush
+// that contains a sampled request. The simulator is goroutine-confined, so
+// no synchronization is needed.
 func (s *Simulator) SetSpanContext(ctx obs.SpanContext) { s.span = ctx }
 
 // traceID renders the armed trace id for event stamping ("" when
@@ -207,7 +231,7 @@ func roundBuckets() []float64 { return obs.ExponentialBuckets(1, 2, 10) }
 
 func newSimMetrics(r *obs.Registry) simMetrics {
 	return simMetrics{
-		requests:    r.Counter("cst_online_requests_total", "requests accepted into the queue"),
+		requests:    r.Counter("cst_online_requests_total", "requests accepted (queued by Submit or taken by Serve)"),
 		rejected:    r.Counter("cst_online_rejected_total", "requests rejected (bad endpoints or busy PEs)"),
 		batches:     r.Counter("cst_online_batches_total", "well-nested batches dispatched"),
 		completed:   r.Counter("cst_online_completed_total", "requests fulfilled"),
@@ -232,6 +256,7 @@ func New(n int, opts ...Option) (*Simulator, error) {
 		tree:     t,
 		switches: circuit.NewSwitches(t),
 		busyPE:   make([]bool, n),
+		runPE:    make([]bool, n),
 		batchSet: &comm.Set{N: n},
 		sessions: make(map[uint64]*deltaSession),
 		deltaCap: DefaultMaxDeltaSessions,
@@ -254,19 +279,28 @@ func (s *Simulator) QueueLen() int { return len(s.queue) }
 // endpoints are already in use by a queued request (a PE sources or
 // receives one transfer at a time).
 func (s *Simulator) Submit(c comm.Comm) error {
-	n := s.tree.Leaves()
-	if c.Src < 0 || c.Src >= n || c.Dst < 0 || c.Dst >= n || c.Src == c.Dst {
-		s.met.rejected.Inc()
-		return fmt.Errorf("online: bad request %s", c)
+	if err := s.check(c); err != nil {
+		return err
 	}
 	if s.busyPE[c.Src] || s.busyPE[c.Dst] {
 		s.met.rejected.Inc()
 		return fmt.Errorf("online: endpoint of %s is busy", c)
 	}
 	s.busyPE[c.Src], s.busyPE[c.Dst] = true, true
-	s.queue = append(s.queue, Request{Comm: c, Arrival: s.now})
+	s.queue = append(s.queue, pending{Request: Request{Comm: c, Arrival: s.now}})
 	s.met.requests.Inc()
 	s.met.queueLen.Set(int64(len(s.queue)))
+	return nil
+}
+
+// check refuses a request whose endpoints are out of range or equal,
+// counting the rejection.
+func (s *Simulator) check(c comm.Comm) error {
+	n := s.tree.Leaves()
+	if c.Src < 0 || c.Src >= n || c.Dst < 0 || c.Dst >= n || c.Src == c.Dst {
+		s.met.rejected.Inc()
+		return fmt.Errorf("online: bad request %s", c)
+	}
 	return nil
 }
 
@@ -303,59 +337,124 @@ func (s *Simulator) Dispatch() (bool, error) {
 	if len(s.queue) == 0 {
 		return false, nil
 	}
+	batch, rest, right := s.buildRun(s.queue, s.batchScratch[:0], s.queueAlt[:0])
+	dispatched, err := s.execute(batch, right)
+	for _, r := range batch {
+		s.busyPE[r.Comm.Src], s.busyPE[r.Comm.Dst] = false, false
+		if err != nil {
+			s.stats.Quarantined = append(s.stats.Quarantined, r.Request)
+		} else {
+			s.stats.Completed = append(s.stats.Completed, Completed{
+				Request: r.Request, Dispatched: dispatched, Finished: s.now,
+			})
+		}
+	}
+	// rest becomes the queue and the old queue array the next dispatch's
+	// rest buffer, keeping both arrays (and the batch scratch) alive.
+	s.queueAlt, s.queue, s.batchScratch = s.queue[:0], rest, batch
+	s.met.queueLen.Set(int64(len(s.queue)))
+	return err == nil, err
+}
+
+// Serve schedules a whole batch arriving at the current round, which it
+// returns, and writes request i's outcome to out[i], growing out to
+// len(batch). It splits the batch into runs by Dispatch's rule plus one
+// more, no PE in two requests of one run, so a batch may repeat pairs and
+// share endpoints, and runs them back to back with Dispatch's retries,
+// quarantine, events and counters. It neither reads nor changes the
+// queue, and out is the only record it keeps. With out reused, steady-state
+// serving allocates nothing.
+func (s *Simulator) Serve(batch []comm.Comm, out []Outcome) (int, []Outcome) {
+	arrival := s.now
+	if cap(out) < len(batch) {
+		out = make([]Outcome, len(batch))
+	}
+	out = out[:len(batch)]
+	pend, spare := s.serveA[:0], s.serveB[:0]
+	for i, c := range batch {
+		if err := s.check(c); err != nil {
+			out[i] = Outcome{Err: err}
+			continue
+		}
+		s.met.requests.Inc()
+		pend = append(pend, pending{Request: Request{Comm: c, Arrival: arrival}, idx: i})
+	}
+	for len(pend) > 0 {
+		run, rest, right := s.buildRun(pend, s.batchScratch[:0], spare[:0])
+		dispatched, err := s.execute(run, right)
+		o := Outcome{Dispatched: dispatched, Finished: s.now}
+		if err != nil {
+			o = Outcome{Err: err}
+		}
+		for _, r := range run {
+			out[r.idx] = o
+		}
+		s.batchScratch, pend, spare = run, rest, pend
+	}
+	s.serveA, s.serveB = pend, spare
+	return arrival, out
+}
+
+// buildRun splits pend into the next run and the rest, both in FIFO order:
+// it picks the orientation with more pending requests, then takes every
+// request of it that crosses no taken one and shares no PE with one.
+// Dispatch's queue never holds two requests on one PE, so the PE rule only
+// shapes Serve's runs. The first request of the chosen orientation is
+// always taken, so a non-empty pend yields a non-empty run.
+func (s *Simulator) buildRun(pend, run, rest []pending) ([]pending, []pending, bool) {
 	rightward := 0
-	for _, r := range s.queue {
+	for _, r := range pend {
 		if r.Comm.RightOriented() {
 			rightward++
 		}
 	}
-	wantRight := rightward*2 >= len(s.queue)
-
-	// FIFO greedy well-nested batch of the chosen orientation. Both
-	// partitions build in reused scratch arrays; rest becomes the queue by
-	// a buffer swap below.
-	batch := s.batchScratch[:0]
-	rest := s.queueAlt[:0]
-	for _, r := range s.queue {
+	wantRight := rightward*2 >= len(pend)
+next:
+	for _, r := range pend {
 		c := r.Comm
-		if c.RightOriented() != wantRight {
+		if c.RightOriented() != wantRight || s.runPE[c.Src] || s.runPE[c.Dst] {
 			rest = append(rest, r)
 			continue
 		}
-		// Crosses is orientation-agnostic and mirror-invariant, so the
-		// left-oriented batch can be tested in place — no need to mirror
+		// Crosses is orientation-agnostic and mirror-invariant, so a
+		// left-oriented run can be tested in place — no need to mirror
 		// each pair onto the reflected line first.
-		crosses := false
-		for _, acc := range batch {
+		for _, acc := range run {
 			if c.Crosses(acc.Comm) {
-				crosses = true
-				break
+				rest = append(rest, r)
+				continue next
 			}
 		}
-		if crosses {
-			rest = append(rest, r)
-			continue
-		}
-		batch = append(batch, r)
+		s.runPE[c.Src], s.runPE[c.Dst] = true, true
+		run = append(run, r)
 	}
-	if len(batch) == 0 {
-		// Everything of the dominant orientation crosses — cannot happen
-		// since a single request never crosses itself; defensive.
-		return false, fmt.Errorf("online: empty batch with %d pending", len(s.queue))
+	for _, r := range run {
+		s.runPE[r.Comm.Src], s.runPE[r.Comm.Dst] = false, false
 	}
+	return run, rest, wantRight
+}
 
+// execute runs one built run over the shared crossbars and books it: the
+// batch.* events, the online.batch span, the cst_online_* series and the
+// Stats aggregates. A failed run is retried on a fresh engine over
+// restored crossbars. The backoff is exponential in simulated rounds (1,
+// 2, …): a transient fault (scoped to one injector run) has expired by the
+// retry, while a poisoned set fails every attempt and is quarantined so it
+// cannot wedge the caller. It returns the round the run started (it ends
+// at Now) or the quarantine error.
+func (s *Simulator) execute(run []pending, right bool) (int, error) {
 	set := s.batchSet
 	set.Comms = set.Comms[:0]
-	for _, r := range batch {
+	for _, r := range run {
 		c := r.Comm
-		if !wantRight {
+		if !right {
 			c = comm.Comm{Src: s.tree.Leaves() - 1 - c.Src, Dst: s.tree.Leaves() - 1 - c.Dst}
 		}
 		set.Comms = append(set.Comms, c)
 	}
 	if s.tracer != nil {
 		s.tracer.Emit(obs.Event{
-			Type: "batch.dispatch", Engine: "online", Round: s.now, N: len(batch),
+			Type: "batch.dispatch", Engine: "online", Round: s.now, N: len(run),
 			Trace: s.traceID(),
 		})
 	}
@@ -363,11 +462,6 @@ func (s *Simulator) Dispatch() (bool, error) {
 	if s.tracer != nil && s.span.Valid() {
 		batchStart = time.Now()
 	}
-	// Run the batch, retrying a failure on a fresh engine over restored
-	// crossbars. The backoff is exponential in simulated rounds (1, 2, …):
-	// a transient fault (scoped to one injector run) has expired by the
-	// retry, while a poisoned set fails every attempt and is quarantined
-	// below so it cannot wedge the queue.
 	var rounds int
 	var err error
 	for attempt := 0; attempt < MaxDispatchAttempts; attempt++ {
@@ -384,7 +478,7 @@ func (s *Simulator) Dispatch() (bool, error) {
 			}
 		}
 		snap := s.snapshotCrossbars()
-		rounds, err = s.runBatch(set, !wantRight)
+		rounds, err = s.runBatch(set, !right)
 		if err == nil {
 			break
 		}
@@ -398,17 +492,10 @@ func (s *Simulator) Dispatch() (bool, error) {
 	}
 	if err != nil {
 		s.met.errs.Inc()
-		s.met.quarantined.Add(int64(len(batch)))
-		for _, r := range batch {
-			s.busyPE[r.Comm.Src], s.busyPE[r.Comm.Dst] = false, false
-			s.stats.Quarantined = append(s.stats.Quarantined, r)
-		}
-		n := len(batch)
-		s.swapQueue(batch, rest)
-		s.met.queueLen.Set(int64(len(s.queue)))
+		s.met.quarantined.Add(int64(len(run)))
 		if s.tracer != nil {
 			s.tracer.Emit(obs.Event{
-				Type: "batch.quarantine", Engine: "online", Round: s.now, N: n, Err: err.Error(),
+				Type: "batch.quarantine", Engine: "online", Round: s.now, N: len(run), Err: err.Error(),
 				Trace: s.traceID(),
 			})
 		}
@@ -416,10 +503,10 @@ func (s *Simulator) Dispatch() (bool, error) {
 			s.tracer.EmitSpan(obs.SpanRecord{
 				Trace: s.span.Trace, Span: s.tracer.NewSpanID(), Parent: s.span.Span,
 				Name: "online.batch", Engine: "online",
-				Start: batchStart, End: time.Now(), N: n, Err: err.Error(),
+				Start: batchStart, End: time.Now(), N: len(run), Err: err.Error(),
 			})
 		}
-		return false, fmt.Errorf("online: batch %s quarantined after %d attempts: %w", set, MaxDispatchAttempts, err)
+		return 0, fmt.Errorf("online: batch %s quarantined after %d attempts: %w", set, MaxDispatchAttempts, err)
 	}
 
 	dispatched := s.now
@@ -428,17 +515,11 @@ func (s *Simulator) Dispatch() (bool, error) {
 	s.stats.Batches++
 	s.met.batches.Inc()
 	s.met.busy.Add(int64(rounds))
-	s.met.batchSize.Observe(float64(len(batch)))
-	for _, r := range batch {
-		s.busyPE[r.Comm.Src], s.busyPE[r.Comm.Dst] = false, false
-		s.stats.Completed = append(s.stats.Completed, Completed{
-			Request: r, Dispatched: dispatched, Finished: s.now,
-		})
+	s.met.batchSize.Observe(float64(len(run)))
+	for _, r := range run {
 		s.met.completed.Inc()
 		s.met.latency.Observe(float64(s.now - r.Arrival))
 	}
-	s.swapQueue(batch, rest)
-	s.met.queueLen.Set(int64(len(s.queue)))
 	if s.tracer != nil {
 		s.tracer.Emit(obs.Event{
 			Type: "batch.done", Engine: "online", Round: dispatched, N: rounds,
@@ -452,16 +533,7 @@ func (s *Simulator) Dispatch() (bool, error) {
 			Start: batchStart, End: time.Now(), N: rounds,
 		})
 	}
-	return true, nil
-}
-
-// swapQueue installs rest (built in s.queueAlt) as the queue and retires
-// the old queue array as the next dispatch's rest buffer, keeping both
-// arrays (and the batch scratch) alive across calls.
-func (s *Simulator) swapQueue(batch, rest []Request) {
-	s.queueAlt = s.queue[:0]
-	s.queue = rest
-	s.batchScratch = batch
+	return dispatched, nil
 }
 
 // snapshotCrossbars captures every physical switch's configuration so a
@@ -546,29 +618,17 @@ func (s *Simulator) runBatch(set *comm.Set, reflected bool) (int, error) {
 // TakeCompleted returns the completion records appended since the previous
 // TakeCompleted call, in completion order. The records stay in Stats — the
 // cursor only tracks how far this incremental view has read — so Finish
-// reporting is unaffected. The serving layer consumes this after each
-// flush to map fulfilled requests back to their waiters.
+// reporting is unaffected. Callers that drive the queue through Submit and
+// Dispatch read completions with it; Serve reports through its outcomes.
 func (s *Simulator) TakeCompleted() []Completed {
 	out := s.stats.Completed[s.takenCompleted:]
 	s.takenCompleted = len(s.stats.Completed)
 	return out
 }
 
-// TakeQuarantined returns the quarantine records appended since the
-// previous TakeQuarantined call — the requests expelled by failed
-// dispatches that the serving layer must answer with an error rather than
-// leave hanging.
-func (s *Simulator) TakeQuarantined() []Request {
-	out := s.stats.Quarantined[s.takenQuarantined:]
-	s.takenQuarantined = len(s.stats.Quarantined)
-	return out
-}
-
 // Busy reports whether either endpoint is currently reserved by a queued
-// request (out-of-range endpoints read as busy). It lets admission layers
-// pre-check a conflict without paying Submit's error construction — the
-// serving hot path defers conflicting calls on this instead of parsing
-// allocated errors.
+// request (out-of-range endpoints read as busy). It lets a caller pre-check
+// Submit's endpoint conflict without paying Submit's allocated error.
 func (s *Simulator) Busy(src, dst int) bool {
 	n := len(s.busyPE)
 	if src < 0 || src >= n || dst < 0 || dst >= n {
@@ -577,21 +637,17 @@ func (s *Simulator) Busy(src, dst int) bool {
 	return s.busyPE[src] || s.busyPE[dst]
 }
 
-// Recycle truncates the append-only Completed/Quarantined record lists
-// once the Take cursors have consumed them, so a long-lived serving
-// simulator's memory stays bounded instead of growing with every request
-// ever served. Slices returned by earlier TakeCompleted/TakeQuarantined
-// calls are invalidated — callers must finish with them first. Aggregate
-// counters (Batches, Rounds, …) are unaffected; records retired here no
-// longer appear in Finish's Stats.
+// Recycle truncates the append-only Completed record list once
+// TakeCompleted has consumed it, so a long-lived simulator driven through
+// Submit and Dispatch keeps its memory bounded instead of growing with
+// every request it ever completed. Slices returned by earlier
+// TakeCompleted calls are invalidated — callers must finish with them
+// first. Aggregate counters (Batches, Rounds, …) are unaffected; records
+// retired here no longer appear in Finish's Stats.
 func (s *Simulator) Recycle() {
 	if s.takenCompleted == len(s.stats.Completed) {
 		s.stats.Completed = s.stats.Completed[:0]
 		s.takenCompleted = 0
-	}
-	if s.takenQuarantined == len(s.stats.Quarantined) {
-		s.stats.Quarantined = s.stats.Quarantined[:0]
-		s.takenQuarantined = 0
 	}
 }
 

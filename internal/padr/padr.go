@@ -629,10 +629,16 @@ func (e *Engine) step() error {
 }
 
 // result assembles Run's and Apply's Result from a finished run, passing a
-// failed run's error through.
+// failed run's error through. The schedule's rounds are slices of the round
+// arena, which the engine's next run overwrites, so the result gets one
+// copy of the used arena, re-sliced per round.
 func (e *Engine) result(rounds int, err error) (*Result, error) {
 	if err != nil {
 		return nil, err
+	}
+	arena := slices.Clone(e.commArena[:e.commUsed])
+	for i, r := range e.p.schedule.Rounds {
+		e.p.schedule.Rounds[i], arena = arena[:len(r):len(r)], arena[len(r):]
 	}
 	return &Result{
 		Schedule:        e.p.schedule,

@@ -1,6 +1,7 @@
 package padr
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -274,5 +275,50 @@ func TestNewCrossbarAllocs(t *testing.T) {
 			t.Errorf("N=%d: New builds its crossbars in %.0f allocations over the %.0f of caller crossbars; want 1 or 2",
 				n, own-shared, shared)
 		}
+	}
+}
+
+// TestResultsSurviveLaterRuns pins that a Result owns its schedule: a
+// later Reset+Run, or a later Apply, on the same engine reuses the round
+// arena and must not rewrite an earlier result's rounds.
+func TestResultsSurviveLaterRuns(t *testing.T) {
+	tree := topology.MustNew(16)
+	keep := func(r *Result) string { return fmt.Sprint(r.Schedule.Rounds) }
+
+	eng, err := New(tree, comm.NewSet(16, comm.Comm{Src: 0, Dst: 15}, comm.Comm{Src: 1, Dst: 14}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, err := eng.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := keep(first)
+	if err := eng.Reset(comm.NewSet(16, comm.Comm{Src: 2, Dst: 5}, comm.Comm{Src: 8, Dst: 9})); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := eng.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if got := keep(first); got != want {
+		t.Errorf("Reset+Run rewrote an earlier Run result: %s, want %s", got, want)
+	}
+
+	if err := eng.Reset(comm.NewSet(16, comm.Comm{Src: 2, Dst: 5}, comm.Comm{Src: 8, Dst: 9}, comm.Comm{Src: 10, Dst: 13})); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := eng.Run(); err != nil {
+		t.Fatal(err)
+	}
+	applied, err := eng.Apply(Delta{Add: []comm.Comm{{Src: 0, Dst: 1}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want = keep(applied)
+	if _, err := eng.Apply(Delta{Remove: []comm.Comm{{Src: 0, Dst: 1}, {Src: 2, Dst: 5}}, Add: []comm.Comm{{Src: 3, Dst: 4}}}); err != nil {
+		t.Fatal(err)
+	}
+	if got := keep(applied); got != want {
+		t.Errorf("Apply rewrote an earlier Apply result: %s, want %s", got, want)
 	}
 }

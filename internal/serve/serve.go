@@ -11,8 +11,7 @@
 // simulator outright; the HTTP layer only ever touches the admission
 // channels and the (atomic) counters. Scheduling work batches naturally:
 // a free worker takes whatever is queued (up to BatchMax) without waiting
-// for more, submits the wave, and dispatches until its fabric is idle — the
-// same quiesce loop pinned by the online package's drain tests. Requests
+// for more and hands it to its simulator in one online.Serve call. Requests
 // that arrive meanwhile form the next batch.
 package serve
 
@@ -44,10 +43,6 @@ var ErrDraining = errors.New("serve: draining, not admitting")
 // ErrQueueFull is the backpressure signal: every shard's admission queue
 // is at capacity. Clients should back off and retry (HTTP 429).
 var ErrQueueFull = errors.New("serve: all admission queues full")
-
-// errUnschedulable marks the defensive wedge guard: a flush wave where no
-// deferred request could be submitted even though the fabric was idle.
-var errUnschedulable = errors.New("serve: request endpoints permanently unavailable")
 
 // Config parameterizes a Pool.
 type Config struct {
@@ -146,12 +141,12 @@ type call struct {
 	deadline time.Time
 	enq      time.Time
 	done     func(Result)
-	// sctx is the request's span context (zero when unsampled); waveT is
-	// when the call's submission wave started, the serve.dispatch span's
+	// sctx is the request's span context (zero when unsampled); flushT is
+	// when the flush that took the call started, the serve.dispatch span's
 	// start. Both are plain values on the pooled call — the unsampled wire
 	// path stays allocation-free.
-	sctx  obs.SpanContext
-	waveT time.Time
+	sctx   obs.SpanContext
+	flushT time.Time
 	// delta marks a session-delta call (see delta.go): it rides the same
 	// admission channel but is served inline by the worker, never batched,
 	// and its answer goes to delta.done instead of done.
@@ -165,7 +160,7 @@ func (c *call) arm(src, dst int, deadline time.Duration) {
 	c.enq = time.Now()
 	c.deadline = time.Time{}
 	c.sctx = obs.SpanContext{}
-	c.waveT = time.Time{}
+	c.flushT = time.Time{}
 	c.delta = nil
 	if deadline > 0 {
 		c.deadline = c.enq.Add(deadline)
@@ -255,23 +250,22 @@ type Pool struct {
 	drainErr  error
 }
 
-// worker owns one shard: the simulator, the admission channel, the
-// waiter map keyed by (src, dst) — unique among in-queue requests because
-// Submit rejects busy endpoints — and the shard's open-sessions gauge.
+// worker owns one shard: the simulator, the admission channel and the
+// shard's open-sessions gauge.
 type worker struct {
 	id       int
 	pool     *Pool
 	sim      *online.Simulator
 	ch       chan *call
-	wait     map[[2]int]*call
 	sessions *obs.Gauge
 
 	// Steady-state scratch, confined to the worker goroutine: the batch
-	// under collection and two alternating wave buffers for flush's
-	// deferral loop. Together with the simulator's own scratch reuse these
-	// keep a worker's request cycle allocation-free.
+	// under collection, its pairs and their outcomes. Together with the
+	// simulator's own scratch reuse these keep a worker's request cycle
+	// allocation-free.
 	batchScratch []*call
-	waveA, waveB []*call
+	comms        []comm.Comm
+	out          []online.Outcome
 }
 
 // New builds a pool; workers do not run until Start.
@@ -302,7 +296,6 @@ func New(cfg Config) (*Pool, error) {
 			pool: p,
 			sim:  sim,
 			ch:   make(chan *call, cfg.QueueDepth),
-			wait: make(map[[2]int]*call),
 			sessions: cfg.Registry.Gauge(fmt.Sprintf(`cst_serve_delta_sessions{shard="%d"}`, i),
 				"delta sessions open on the shard"),
 		})
@@ -337,7 +330,7 @@ func (p *Pool) Schedule(src, dst int, deadline time.Duration) Result {
 // schedule is Schedule carrying a span context, the blocking path the
 // HTTP transport shares: when sctx is sampled the pool emits serve.queue
 // and serve.dispatch child spans for the request's path through the
-// admission queue and its shard's dispatch wave.
+// admission queue and its shard's flush.
 func (p *Pool) schedule(src, dst int, deadline time.Duration, sctx obs.SpanContext) Result {
 	resp := make(chan Result, 1)
 	c := &call{proto: protoHTTP, done: func(res Result) { resp <- res }}
@@ -549,17 +542,15 @@ func (w *worker) collect(first *call) []*call {
 	return batch
 }
 
-// flush answers every request in the batch. It submits requests in waves
-// (requests that conflict on endpoints within the batch are deferred to
-// the next wave), dispatches the fabric to idle between waves, and maps
-// completion and quarantine records back to their waiters. The fabric is
-// idle with no reservations on entry and on exit, so waves always make
-// progress: after a dispatch-to-idle the first deferred request cannot be
-// refused for a busy endpoint.
+// flush answers every request in the batch: a request whose deadline has
+// passed when the flush starts gets a 504, the rest go to the simulator in
+// one Serve call and are answered by batch index once its last run is
+// done.
 func (w *worker) flush(batch []*call) {
 	met := &w.pool.met
 	met.flushes.Inc()
 	met.batchSize.Observe(float64(len(batch)))
+	now := time.Now()
 	// Trace work is gated on the batch containing at least one sampled
 	// call: an unsampled batch pays two pointer tests and nothing else, so
 	// the wire pair path stays allocation-free with a tracer attached.
@@ -578,127 +569,57 @@ func (w *worker) flush(batch []*call) {
 	if sampled > 0 {
 		tr := w.pool.tracer
 		tr.Emit(obs.Event{Type: "serve.flush", Engine: "serve", Round: w.sim.Now(), N: len(batch)})
-		flushT := time.Now()
 		for _, c := range batch {
 			if c.sctx.Valid() {
 				tr.EmitSpan(obs.SpanRecord{
 					Trace: c.sctx.Trace, Span: tr.NewSpanID(), Parent: c.sctx.Span,
 					Name: "serve.queue", Engine: "serve",
-					Start: c.enq, End: flushT,
+					Start: c.enq, End: now,
 				})
+				c.flushT = now
 			}
 		}
 		// Arm the shard simulator with the first sampled context so its
-		// batch.* events and online.batch span join this trace. The sim is
+		// batch.* events and online.batch spans join this trace. The sim is
 		// goroutine-confined to this worker, so no locking is needed.
 		w.sim.SetSpanContext(firstCtx)
 		defer w.sim.SetSpanContext(obs.SpanContext{})
 	}
-	pending := batch
-	// Waves alternate between two reused buffers: wave k builds its
-	// deferral list in one while iterating the other (wave k−1's list, or
-	// the batch itself on the first pass), so the loop never allocates.
-	cur, alt := w.waveA, w.waveB
-	for len(pending) > 0 {
-		deferred := cur[:0]
-		submitted := 0
-		now := time.Now()
-		for _, c := range pending {
-			if !c.deadline.IsZero() && now.After(c.deadline) {
-				// The per-request deadline reuses the fault taxonomy: the
-				// watchdog's ErrDeadline is what a stalled fabric would
-				// have reported.
-				met.deadline.Inc()
-				w.answer(c, Result{Status: http.StatusGatewayTimeout,
-					Err: fmt.Sprintf("serve: %v before dispatch", fault.ErrDeadline)})
-				continue
-			}
-			// Endpoints validated at admission, queue idle between waves:
-			// the only possible refusal is an endpoint conflict within this
-			// batch. The Busy pre-check catches it without paying Submit's
-			// allocated error; the Submit error branch stays as a
-			// defensive backstop.
-			if w.sim.Busy(c.src, c.dst) {
-				deferred = append(deferred, c)
-				continue
-			}
-			if err := w.sim.Submit(comm.Comm{Src: c.src, Dst: c.dst}); err != nil {
-				deferred = append(deferred, c)
-				continue
-			}
-			if c.sctx.Valid() {
-				c.waveT = now
-			}
-			w.wait[[2]int{c.src, c.dst}] = c
-			submitted++
+	// Compact the live calls to the front of the batch, in order, and
+	// line their pairs up with them.
+	live, comms := batch[:0], w.comms[:0]
+	for _, c := range batch {
+		if !c.deadline.IsZero() && now.After(c.deadline) {
+			// The per-request deadline reuses the fault taxonomy: the
+			// watchdog's ErrDeadline is what a stalled fabric would have
+			// reported.
+			met.deadline.Inc()
+			w.answer(c, Result{Status: http.StatusGatewayTimeout,
+				Err: fmt.Sprintf("serve: %v before dispatch", fault.ErrDeadline)})
+			continue
 		}
-		cur, alt = alt, deferred
-		if submitted > 0 {
-			w.quiesce()
-			w.settleRecords()
-		} else if len(deferred) > 0 {
-			// Defensive wedge guard: the fabric is idle yet nothing could
-			// be submitted — endpoint reservations leaked (cannot happen
-			// per the online drain invariants). Fail the stragglers
-			// rather than spin.
-			for _, c := range deferred {
-				w.answer(c, Result{Status: http.StatusInternalServerError, Err: errUnschedulable.Error()})
-			}
-			return
-		}
-		pending = deferred
+		live = append(live, c)
+		comms = append(comms, comm.Comm{Src: c.src, Dst: c.dst})
 	}
-	// Keep the (possibly regrown) wave buffers and retire the simulator's
-	// consumed completion/quarantine records so a long-lived shard's
-	// memory stays bounded.
-	w.waveA, w.waveB = cur, alt
-	w.sim.Recycle()
-}
-
-// quiesce dispatches until the shard's queue is empty, tolerating
-// quarantine errors (the expelled requests surface via TakeQuarantined).
-// The progress guard breaks the loop if a dispatch error ever leaves the
-// queue unshrunk, so a defect below cannot wedge the worker.
-func (w *worker) quiesce() {
-	for w.sim.QueueLen() > 0 {
-		before := w.sim.QueueLen()
-		if _, err := w.sim.Dispatch(); err != nil && w.sim.QueueLen() >= before {
-			return
+	arrival, out := w.sim.Serve(comms, w.out)
+	w.comms, w.out = comms, out
+	for i, c := range live {
+		o := out[i]
+		if o.Err != nil {
+			met.quarantined.Inc()
+			w.answer(c, Result{Status: http.StatusInternalServerError,
+				Err: "serve: batch quarantined after exhausting dispatch attempts"})
+			continue
 		}
-	}
-}
-
-// settleRecords maps the simulator's new completion and quarantine records
-// back to their waiting calls.
-func (w *worker) settleRecords() {
-	met := &w.pool.met
-	for _, rec := range w.sim.TakeCompleted() {
-		key := [2]int{rec.Comm.Src, rec.Comm.Dst}
-		c, ok := w.wait[key]
-		if !ok {
-			continue // defensive: record without a waiter
-		}
-		delete(w.wait, key)
 		met.scheduled.Inc()
 		met.proto[c.proto].scheduled.Inc()
 		w.answer(c, Result{
 			Status:        http.StatusOK,
-			Arrival:       rec.Arrival,
-			Dispatched:    rec.Dispatched,
-			Finished:      rec.Finished,
-			LatencyRounds: rec.Finished - rec.Arrival,
+			Arrival:       arrival,
+			Dispatched:    o.Dispatched,
+			Finished:      o.Finished,
+			LatencyRounds: o.Finished - arrival,
 		})
-	}
-	for _, rec := range w.sim.TakeQuarantined() {
-		key := [2]int{rec.Comm.Src, rec.Comm.Dst}
-		c, ok := w.wait[key]
-		if !ok {
-			continue
-		}
-		delete(w.wait, key)
-		met.quarantined.Inc()
-		w.answer(c, Result{Status: http.StatusInternalServerError,
-			Err: "serve: batch quarantined after exhausting dispatch attempts"})
 	}
 }
 
@@ -729,12 +650,9 @@ func (w *worker) settle(c *call, status int, errmsg string, n int) {
 		return
 	}
 	tr := p.tracer
-	name, start := "serve.dispatch", c.waveT
+	name, start := "serve.dispatch", c.flushT
 	if c.delta != nil {
-		name = "serve.delta"
-	}
-	if start.IsZero() {
-		start = c.enq // a delta, or a pair settled before reaching a wave (deadline miss)
+		name, start = "serve.delta", c.enq
 	}
 	tr.EmitSpan(obs.SpanRecord{
 		Trace: c.sctx.Trace, Span: tr.NewSpanID(), Parent: c.sctx.Span,
