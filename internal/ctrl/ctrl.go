@@ -216,16 +216,26 @@ func EncodeStoredInto(buf []byte, s Stored) (int, error) {
 	if len(buf) < StoredWordBytes {
 		return 0, fmt.Errorf("ctrl: Stored buffer needs %d bytes, got %d", StoredWordBytes, len(buf))
 	}
-	fields := [5]struct {
-		name string
-		v    int
-	}{{"M", s.M}, {"SL", s.SL}, {"DL", s.DL}, {"SR", s.SR}, {"DR", s.DR}}
-	for i, f := range fields {
-		if err := checkCounter(f.name, f.v); err != nil {
-			return 0, err
-		}
-		binary.BigEndian.PutUint32(buf[4*i:], uint32(f.v))
+	if err := checkCounter("M", s.M); err != nil {
+		return 0, err
 	}
+	if err := checkCounter("SL", s.SL); err != nil {
+		return 0, err
+	}
+	if err := checkCounter("DL", s.DL); err != nil {
+		return 0, err
+	}
+	if err := checkCounter("SR", s.SR); err != nil {
+		return 0, err
+	}
+	if err := checkCounter("DR", s.DR); err != nil {
+		return 0, err
+	}
+	binary.BigEndian.PutUint32(buf[0:], uint32(s.M))
+	binary.BigEndian.PutUint32(buf[4:], uint32(s.SL))
+	binary.BigEndian.PutUint32(buf[8:], uint32(s.DL))
+	binary.BigEndian.PutUint32(buf[12:], uint32(s.SR))
+	binary.BigEndian.PutUint32(buf[16:], uint32(s.DR))
 	return StoredWordBytes, nil
 }
 

@@ -186,8 +186,24 @@ func TestEncodeDecodeStored(t *testing.T) {
 	if got != s {
 		t.Fatalf("round trip %v -> %v", s, got)
 	}
-	if _, err := EncodeStoredInto(make([]byte, StoredWordBytes), Stored{DR: -2}); err == nil {
-		t.Error("negative counter: want error")
+	want := []byte{0, 0, 0, 5, 0, 0, 0, 4, 0, 0, 0, 3, 0, 0, 0, 2, 0, 0, 0, 1}
+	if string(b) != string(want) {
+		t.Fatalf("encoded %v as % x, want % x", s, b, want)
+	}
+	// The first counter out of range names itself, in field order.
+	for _, c := range []struct {
+		s    Stored
+		want string
+	}{
+		{Stored{M: -1, DR: -2}, "ctrl: field M out of range: -1"},
+		{Stored{SL: -3, DL: -1}, "ctrl: field SL out of range: -3"},
+		{Stored{DL: 1 << 33}, "ctrl: field DL out of range: 8589934592"},
+		{Stored{SR: -4}, "ctrl: field SR out of range: -4"},
+		{Stored{DR: -2}, "ctrl: field DR out of range: -2"},
+	} {
+		if _, err := EncodeStoredInto(make([]byte, StoredWordBytes), c.s); err == nil || err.Error() != c.want {
+			t.Errorf("EncodeStoredInto(%v): err=%v, want %q", c.s, err, c.want)
+		}
 	}
 	if _, err := EncodeStoredInto(make([]byte, StoredWordBytes-1), s); err == nil {
 		t.Error("short encode buffer: want error")

@@ -37,6 +37,7 @@ func TestDeltaSweep(t *testing.T) {
 	if !gated.Gated {
 		t.Fatalf("90%% overlap point not gated: %+v", gated)
 	}
+	t.Logf("apply/scratch ratio %.3f at 90%% overlap", gated.Ratio)
 	if gated.Ratio > res.Config.GateRatio {
 		t.Fatalf("apply/scratch ratio %.2f at 90%% overlap exceeds the %.2f gate",
 			gated.Ratio, res.Config.GateRatio)
