@@ -14,12 +14,15 @@ import (
 	"cst/internal/xbar"
 )
 
-// deltaOracle follows one mutation stream on three engines over the same
-// tree: an Apply engine on engine-owned crossbars, an ApplyRounds engine on
-// caller-owned crossbars, and a reference that runs Reset + RunRounds on
-// every mutated set over its own persistent crossbars. Each step checks
-// that Apply's result is bit-identical to a fresh engine's run, that
-// ApplyRounds reports the same rounds, and that all three fabrics hold the
+// deltaOracle follows one mutation stream on two engines over the same
+// tree, an Apply engine on engine-owned crossbars and an ApplyRounds
+// engine on caller-owned crossbars, against a reference: a new engine per
+// mutated set, run with RunRounds over persistent crossbars of its own. A
+// new engine matches every switch in Phase 1 and walks Phase 2 without
+// replay, so the reference shares no incremental state with the engines
+// it checks. Each step checks that Apply's result is bit-identical to a
+// fresh engine's run, that ApplyRounds reports the same rounds, that both
+// delta engines' arenas stay sparse, and that all three fabrics hold the
 // same configuration, units and per-output alternations on every switch:
 // the power ledger deltaDigest leaves out.
 type deltaOracle struct {
@@ -27,7 +30,7 @@ type deltaOracle struct {
 	tr                 *topology.Tree
 	n                  int
 	opts               []Option
-	apply, light, ref  *Engine
+	apply, light       *Engine
 	lightXbar, refXbar []*xbar.Switch
 }
 
@@ -42,19 +45,27 @@ func newDeltaOracle(t testing.TB, tr *topology.Tree, init *comm.Set, opts ...Opt
 	if o.light, err = New(tr, init.Clone(), append(opts[:len(opts):len(opts)], WithCrossbars(o.lightXbar))...); err != nil {
 		t.Fatal(err)
 	}
-	if o.ref, err = New(tr, init.Clone(), append(opts[:len(opts):len(opts)], WithCrossbars(o.refXbar))...); err != nil {
-		t.Fatal(err)
-	}
 	if _, err := o.apply.Run(); err != nil {
 		t.Fatalf("oracle initial Run: %v", err)
 	}
 	if _, err := o.light.RunRounds(); err != nil {
 		t.Fatalf("oracle initial RunRounds: %v", err)
 	}
-	if _, err := o.ref.RunRounds(); err != nil {
-		t.Fatalf("oracle reference RunRounds: %v", err)
-	}
+	o.reference(t, init.Comms)
 	return o
+}
+
+// reference runs set on a new engine over the reference crossbars.
+func (o *deltaOracle) reference(t testing.TB, set []comm.Comm) {
+	t.Helper()
+	s := &comm.Set{N: o.n, Comms: append([]comm.Comm(nil), set...)}
+	ref, err := New(o.tr, s, append(o.opts[:len(o.opts):len(o.opts)], WithCrossbars(o.refXbar))...)
+	if err != nil {
+		t.Fatalf("%s: reference New: %v", o.name, err)
+	}
+	if _, err := ref.RunRounds(); err != nil {
+		t.Fatalf("%s: reference RunRounds: %v", o.name, err)
+	}
 }
 
 // step applies d, whose mutated set is next, and checks every surface.
@@ -76,12 +87,9 @@ func (o *deltaOracle) step(t testing.TB, d Delta, next []comm.Comm) {
 	if rounds != want.nrounds {
 		t.Fatalf("%s: ApplyRounds(%+v) = %d rounds, scratch %d", o.name, d, rounds, want.nrounds)
 	}
-	if err := o.ref.Reset(&comm.Set{N: o.n, Comms: append([]comm.Comm(nil), next...)}); err != nil {
-		t.Fatalf("%s: reference Reset: %v", o.name, err)
-	}
-	if _, err := o.ref.RunRounds(); err != nil {
-		t.Fatalf("%s: reference RunRounds: %v", o.name, err)
-	}
+	checkSparse(t, o.apply)
+	checkSparse(t, o.light)
+	o.reference(t, next)
 	if err := sameFabric(o.apply.switches, o.refXbar); err != nil {
 		t.Fatalf("%s: Apply(%+v): %v", o.name, d, err)
 	}
@@ -90,9 +98,10 @@ func (o *deltaOracle) step(t testing.TB, d Delta, next []comm.Comm) {
 	}
 }
 
-// reanchor runs cur from scratch on all three engines, the way a delta
-// session falls back after a failed apply. Reset zeroes the Apply engine's
-// own crossbars, so the other two fabrics are zeroed alongside it.
+// reanchor runs cur from scratch on both delta engines and the reference,
+// the way a delta session falls back after a failed apply. Reset zeroes
+// the Apply engine's own crossbars, so the other two fabrics are zeroed
+// alongside it.
 func (o *deltaOracle) reanchor(t testing.TB, cur []comm.Comm) {
 	t.Helper()
 	for _, sw := range append(o.lightXbar[1:len(o.lightXbar):len(o.lightXbar)], o.refXbar[1:]...) {
@@ -105,21 +114,22 @@ func (o *deltaOracle) reanchor(t testing.TB, cur []comm.Comm) {
 	if _, err := o.apply.Run(); err != nil {
 		t.Fatalf("%s: re-anchor Run: %v", o.name, err)
 	}
-	for _, e := range []*Engine{o.light, o.ref} {
-		if err := e.Reset(set()); err != nil {
-			t.Fatalf("%s: re-anchor Reset: %v", o.name, err)
-		}
-		if _, err := e.RunRounds(); err != nil {
-			t.Fatalf("%s: re-anchor RunRounds: %v", o.name, err)
-		}
+	if err := o.light.Reset(set()); err != nil {
+		t.Fatalf("%s: re-anchor Reset: %v", o.name, err)
 	}
+	if _, err := o.light.RunRounds(); err != nil {
+		t.Fatalf("%s: re-anchor RunRounds: %v", o.name, err)
+	}
+	o.reference(t, cur)
+	checkSparse(t, o.apply)
+	checkSparse(t, o.light)
 	if err := sameFabric(o.apply.switches, o.refXbar); err != nil {
 		t.Fatalf("%s: re-anchor: %v", o.name, err)
 	}
 }
 
 // reject checks that an invalid delta is refused by both delta engines,
-// which stay Ready on their old set.
+// which stay Ready and sparse on their old set.
 func (o *deltaOracle) reject(t testing.TB, d Delta) {
 	t.Helper()
 	if _, err := o.apply.Apply(d); !errors.Is(err, ErrDelta) {
@@ -131,6 +141,8 @@ func (o *deltaOracle) reject(t testing.TB, d Delta) {
 	if !o.apply.Ready() || !o.light.Ready() {
 		t.Fatalf("%s: rejected delta %+v cost an engine its readiness", o.name, d)
 	}
+	checkSparse(t, o.apply)
+	checkSparse(t, o.light)
 }
 
 // sameFabric compares two crossbar arenas switch by switch.

@@ -26,6 +26,16 @@ func mustEngine(t *testing.T, expr string, opts ...Option) *Engine {
 	return e
 }
 
+// floatUp runs a new engine's Phase 1 over every switch, as its first run
+// does before Phase 2.
+func floatUp(t *testing.T, e *Engine) {
+	t.Helper()
+	e.markSet(true)
+	if err := e.phase1(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func mustRun(t *testing.T, expr string, opts ...Option) *Result {
 	t.Helper()
 	res, err := mustEngine(t, expr, opts...).Run()
@@ -91,7 +101,7 @@ func TestSingleCommunication(t *testing.T) {
 // five types. Hand-checked against the 8-PE set ((.)(.)) with an outer pair.
 func TestFigure4Classification(t *testing.T) {
 	e := mustEngine(t, "((.)(.))")
-	e.phase1()
+	floatUp(t, e)
 	cases := map[topology.Node]ctrl.Stored{
 		2: {M: 1, SL: 1},  // matches (1,3); source 0 passes up
 		3: {M: 1, DR: 1},  // matches (4,6); destination 7 fed from above
@@ -130,7 +140,7 @@ func TestFigure4Classification(t *testing.T) {
 // unmatched counts as selectors.
 func TestConfigureNullNull(t *testing.T) {
 	e := mustEngine(t, "((.)(.))")
-	e.phase1()
+	floatUp(t, e)
 	left, right, err := e.configure(2, ctrl.Down{Use: ctrl.UseNone})
 	if err != nil {
 		t.Fatal(err)
@@ -151,7 +161,7 @@ func TestConfigureNullNull(t *testing.T) {
 
 func TestConfigureUseSFromLeft(t *testing.T) {
 	e := mustEngine(t, "((.)(.))")
-	e.phase1()
+	floatUp(t, e)
 	// Ask node 2 for its 0th pending source: that is PE 0 (the unmatched
 	// one), in the left subtree.
 	left, right, err := e.configure(2, ctrl.Down{Use: ctrl.UseS, Xs: 0})
@@ -186,7 +196,7 @@ func TestConfigureUseSFromRightSchedulesMatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.phase1()
+	floatUp(t, e)
 	// Node 2: left child has source 0, right child has destination 2 and
 	// source 3. M = min(S_L=1, D_R=1) = 1, SR = 1.
 	if st := e.stored[2]; st.M != 1 || st.SR != 1 || st.SL != 0 {
@@ -215,7 +225,7 @@ func TestConfigureUseSFromRightSchedulesMatch(t *testing.T) {
 
 func TestConfigureSelectorOutOfRange(t *testing.T) {
 	e := mustEngine(t, "((.)(.))")
-	e.phase1()
+	floatUp(t, e)
 	if _, _, err := e.configure(2, ctrl.Down{Use: ctrl.UseS, Xs: 5}); err == nil {
 		t.Error("xs out of range: want error")
 	}

@@ -8,6 +8,7 @@ import (
 
 	"cst/internal/circuit"
 	"cst/internal/comm"
+	"cst/internal/fault"
 	"cst/internal/power"
 	"cst/internal/topology"
 )
@@ -61,56 +62,147 @@ func digest(r *Result) runDigest {
 	}
 }
 
-// TestResetMatchesFresh pins the reuse contract: running three sets through
-// one engine via Reset produces bit-identical results — schedules, power
-// reports, and word counts — to running each through its own fresh engine.
-// Checked for both selection rules crossed with both power modes.
+// sameAsFresh checks got, a pooled engine's result for s, against a new
+// engine's run of s: bit-identical schedule, power report, word counts and
+// InitialStored. A new engine matches every switch in Phase 1, so the
+// check is independent of the pooled engine's sparse arenas.
+func sameAsFresh(t *testing.T, name string, tree *topology.Tree, s *comm.Set, opts []Option, got *Result) {
+	t.Helper()
+	fe, err := New(tree, s, opts...)
+	if err != nil {
+		t.Fatalf("%s: fresh New: %v", name, err)
+	}
+	fresh, err := fe.Run()
+	if err != nil {
+		t.Fatalf("%s: fresh run: %v", name, err)
+	}
+	if g, w := digest(got), digest(fresh); !reflect.DeepEqual(g, w) {
+		t.Errorf("%s: reused engine diverged from fresh\nreused: %+v\nfresh:  %+v", name, g, w)
+	}
+	if !reflect.DeepEqual(got.InitialStored, fresh.InitialStored) {
+		t.Errorf("%s: InitialStored diverged", name)
+	}
+	if err := got.Schedule.Verify(tree); err != nil {
+		t.Errorf("%s: reused schedule invalid: %v", name, err)
+	}
+}
+
+// TestResetMatchesFresh pins the reuse contract: sets run through one
+// engine via Reset produce bit-identical results — schedules, power
+// reports, word counts and InitialStored — to each set run on its own new
+// engine, and leave the engine's arenas sparse. Checked for both selection
+// rules crossed with both power modes and both orientations, over the
+// workload shapes interleaved with small sets (1–4 pairs at N=64, whose
+// runs match a fraction of the switches), and then after each event that
+// leaves a pooled engine's arenas in another state: a run failed by an
+// injector, a rejected Reset, and an Apply that replayed.
 func TestResetMatchesFresh(t *testing.T) {
 	const n = 64
 	tree := topology.MustNew(n)
-	sets := reuseWorkloads(t, n)
+	rng := rand.New(rand.NewSource(3))
+	var sets []*comm.Set
+	for _, s := range reuseWorkloads(t, n) {
+		sets = append(sets, s)
+		for i := 0; i < 3; i++ {
+			small, err := comm.RandomWellNested(rng, n, 1+rng.Intn(4))
+			if err != nil {
+				t.Fatal(err)
+			}
+			sets = append(sets, small)
+		}
+	}
 
 	for _, sel := range []Selection{Greedy, Conservative} {
 		for _, mode := range []power.Mode{power.Stateful, power.Stateless} {
-			opts := []Option{WithSelection(sel), WithMode(mode)}
-			var eng *Engine
-			for i, s := range sets {
-				var err error
-				if eng == nil {
-					eng, err = New(tree, s, opts...)
-				} else {
-					err = eng.Reset(s, opts...)
-				}
-				if err != nil {
-					t.Fatalf("sel=%v mode=%v set %d: reset: %v", sel, mode, i, err)
-				}
-				reused, err := eng.Run()
-				if err != nil {
-					t.Fatalf("sel=%v mode=%v set %d: reused run: %v", sel, mode, i, err)
-				}
-
-				fe, err := New(tree, s, opts...)
-				if err != nil {
-					t.Fatal(err)
-				}
-				fresh, err := fe.Run()
-				if err != nil {
-					t.Fatalf("sel=%v mode=%v set %d: fresh run: %v", sel, mode, i, err)
-				}
-
-				if got, want := digest(reused), digest(fresh); !reflect.DeepEqual(got, want) {
-					t.Errorf("sel=%v mode=%v set %d: reused engine diverged from fresh\nreused: %+v\nfresh:  %+v",
-						sel, mode, i, got, want)
-				}
-				if !reflect.DeepEqual(reused.InitialStored, fresh.InitialStored) {
-					t.Errorf("sel=%v mode=%v set %d: InitialStored diverged", sel, mode, i)
-				}
-				if err := reused.Schedule.Verify(tree); err != nil {
-					t.Errorf("sel=%v mode=%v set %d: reused schedule invalid: %v", sel, mode, i, err)
+			for _, mirrored := range []bool{false, true} {
+				opts := []Option{WithSelection(sel), WithMode(mode), WithReflection(mirrored)}
+				var eng *Engine
+				for i, s := range sets {
+					name := fmt.Sprintf("sel=%v mode=%v mirrored=%v set %d", sel, mode, mirrored, i)
+					var err error
+					if eng == nil {
+						eng, err = New(tree, s, opts...)
+					} else {
+						err = eng.Reset(s, opts...)
+					}
+					if err != nil {
+						t.Fatalf("%s: reset: %v", name, err)
+					}
+					reused, err := eng.Run()
+					if err != nil {
+						t.Fatalf("%s: reused run: %v", name, err)
+					}
+					sameAsFresh(t, name, tree, s, opts, reused)
+					checkSparse(t, eng)
 				}
 			}
 		}
 	}
+
+	eng, err := New(tree, sets[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := eng.Run(); err != nil {
+		t.Fatal(err)
+	}
+	runNext := func(name string, s *comm.Set) {
+		t.Helper()
+		if err := eng.Reset(s, WithFaults(nil)); err != nil {
+			t.Fatalf("%s: reset: %v", name, err)
+		}
+		res, err := eng.Run()
+		if err != nil {
+			t.Fatalf("%s: run: %v", name, err)
+		}
+		sameAsFresh(t, name, tree, s, nil, res)
+		checkSparse(t, eng)
+	}
+
+	// A corrupted up word from a PE that is no endpoint puts a source
+	// where the set has none, off every root path of the set.
+	small := comm.NewSet(n, comm.Comm{Src: 8, Dst: 11}, comm.Comm{Src: 40, Dst: 47})
+	inj := fault.New([]fault.Fault{{Kind: fault.CorruptWord, Node: tree.Leaf(20), Round: fault.Phase1}})
+	if err := eng.Reset(small, WithFaults(inj)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := eng.Run(); err == nil || !inj.Fired() {
+		t.Fatalf("corrupted run: err=%v, fired=%v; want a failure", err, inj.Fired())
+	}
+	runNext("after a failed run", small)
+	runNext("small after small", sets[1])
+
+	for _, bad := range []*comm.Set{
+		comm.NewSet(n, comm.Comm{Src: 0, Dst: 9}, comm.Comm{Src: 30, Dst: 40}, comm.Comm{Src: 5, Dst: 35}), // crossing
+		comm.NewSet(n, comm.Comm{Src: 2, Dst: 9}, comm.Comm{Src: 9, Dst: 12}),                              // shared PE
+		comm.NewSet(n, comm.Comm{Src: 4, Dst: 6}, comm.Comm{Src: 20, Dst: 17}),                             // left oriented
+		comm.NewSet(n, comm.Comm{Src: 4, Dst: 6}, comm.Comm{Src: 20, Dst: 64}),                             // out of range
+		comm.NewSet(n, comm.Comm{Src: 4, Dst: 4}),                                                          // self loop
+		comm.NewSet(32, comm.Comm{Src: 0, Dst: 1}),                                                         // wrong N
+	} {
+		if err := eng.Reset(bad); err == nil {
+			t.Fatalf("Reset accepted %s", bad)
+		}
+		runNext("after a rejected Reset of "+bad.String(), sets[2])
+	}
+
+	// Closed subtrees around short pairs replay on the second apply.
+	short := comm.NewSet(n, comm.Comm{Src: 0, Dst: 1}, comm.Comm{Src: 4, Dst: 6}, comm.Comm{Src: 8, Dst: 11},
+		comm.Comm{Src: 16, Dst: 19}, comm.Comm{Src: 33, Dst: 60})
+	runNext("before the applies", short)
+	for _, d := range []Delta{
+		{Remove: []comm.Comm{{Src: 33, Dst: 60}}, Add: []comm.Comm{{Src: 34, Dst: 58}}},
+		{Remove: []comm.Comm{{Src: 34, Dst: 58}}, Add: []comm.Comm{{Src: 33, Dst: 60}}},
+	} {
+		if _, err := eng.Apply(d); err != nil {
+			t.Fatal(err)
+		}
+		checkSparse(t, eng)
+	}
+	if eng.counts.replayed == 0 {
+		t.Fatal("the second apply replayed nothing")
+	}
+	runNext("after an apply that replayed", sets[3])
 }
 
 // TestResetSurvivesArmFailure pins that a rejected Reset (bad set) leaves
