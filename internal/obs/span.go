@@ -171,8 +171,12 @@ func (s *Span) SetN(n int) { s.n = n }
 // SetError marks the span errored.
 func (s *Span) SetError(msg string) { s.errs = msg }
 
-// End emits the span with end time now.
-func (s *Span) End() { s.EndAt(time.Now()) }
+// End emits the span with end time now. An unsampled span reads no clock.
+func (s *Span) End() {
+	if s.Sampled() {
+		s.EndAt(time.Now())
+	}
+}
 
 // EndAt emits the span with an explicit end time.
 func (s *Span) EndAt(end time.Time) {
@@ -290,9 +294,12 @@ func (t *Tracer) StartServer(name, engine string, remote SpanContext) Span {
 	}
 }
 
-// StartSpan opens a child span under parent; zero Span when the parent is
-// unsampled.
+// StartSpan opens a child span under parent; zero Span, read without a
+// clock, when the parent is unsampled.
 func (t *Tracer) StartSpan(parent SpanContext, name, engine string) Span {
+	if t == nil || !parent.Valid() {
+		return Span{}
+	}
 	return t.StartSpanAt(parent, name, engine, time.Now())
 }
 

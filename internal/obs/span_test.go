@@ -144,3 +144,33 @@ func TestEmitErrorRootReachesFlight(t *testing.T) {
 		t.Fatalf("trace %s, want %s", snap.Errors[0].Trace, ctx.Trace)
 	}
 }
+
+// TestUnsampledSpansAreFree pins the unsampled fast path the wire writer
+// takes for every frame: a child of a zero or unsampled context, or of a
+// nil tracer, is the zero span, and opening and ending it allocates
+// nothing and emits nothing.
+func TestUnsampledSpansAreFree(t *testing.T) {
+	tr := NewTracer(nil, 16)
+	var none *Tracer
+	unsampled := SpanContext{Trace: 7, Span: 9}
+	for _, c := range []struct {
+		tr     *Tracer
+		parent SpanContext
+	}{{tr, SpanContext{}}, {tr, unsampled}, {none, SpanContext{Trace: 7, Span: 9, Sampled: true}}} {
+		if sp := c.tr.StartSpan(c.parent, "response.write", "serve"); sp != (Span{}) {
+			t.Errorf("StartSpan(%+v) = %+v, want the zero span", c.parent, sp)
+		}
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		sp := tr.StartSpan(unsampled, "response.write", "serve")
+		sp.End()
+		zero := Span{}
+		zero.End()
+	})
+	if allocs != 0 {
+		t.Errorf("unsampled StartSpan+End allocated %.1f times, want 0", allocs)
+	}
+	if got := tr.Events(); got != 0 {
+		t.Errorf("unsampled spans emitted %d events", got)
+	}
+}
