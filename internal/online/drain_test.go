@@ -95,7 +95,7 @@ func TestDrainLosesNothing(t *testing.T) {
 	if st.Leftover != 0 {
 		t.Fatalf("leftover = %d, want 0", st.Leftover)
 	}
-	if got := s.BusyPEs(); got != 0 {
+	if got := busyPEs(s); got != 0 {
 		t.Fatalf("busy PEs after drain = %d, want 0 (leaked reservations)", got)
 	}
 	if len(completed) != len(st.Completed) {
@@ -134,7 +134,7 @@ func TestDrainLosesNothing(t *testing.T) {
 		}
 	}
 	quiesce()
-	if got := s.BusyPEs(); got != 0 {
+	if got := busyPEs(s); got != 0 {
 		t.Fatalf("busy PEs after reuse drain = %d, want 0", got)
 	}
 }
@@ -171,4 +171,15 @@ func TestTakeCursorsAreIncremental(t *testing.T) {
 	if got := len(st.Quarantined); got != 0 {
 		t.Fatalf("quarantines on a clean run = %d, want 0", got)
 	}
+}
+
+// busyPEs counts the PEs reserved by queued requests.
+func busyPEs(s *Simulator) int {
+	n := 0
+	for _, b := range s.busyPE {
+		if b {
+			n++
+		}
+	}
+	return n
 }

@@ -651,19 +651,6 @@ func (s *Simulator) Recycle() {
 	}
 }
 
-// BusyPEs returns how many processing elements are currently reserved by
-// queued requests. After a successful Drain it must be zero: every
-// completion and every quarantine frees its endpoints.
-func (s *Simulator) BusyPEs() int {
-	n := 0
-	for _, b := range s.busyPE {
-		if b {
-			n++
-		}
-	}
-	return n
-}
-
 // Drain dispatches until the queue is empty.
 func (s *Simulator) Drain() error {
 	for len(s.queue) > 0 {

@@ -134,3 +134,35 @@ func probeSize(t *testing.T, seed int64, size int) {
 		}
 	}
 }
+
+// BenchmarkServeBatch times the pair-burst shape in process: batches of 32
+// probe pairs (seed 1) on one persistent N=64 shard, served through Serve
+// one batch per op, cycling over 256 batches. Steady state allocates
+// nothing.
+func BenchmarkServeBatch(b *testing.B) {
+	const pes, size, batches = 64, 32, 256
+	pairs := probePairs(1, pes, size*batches)
+	s, err := New(pes)
+	if err != nil {
+		b.Fatal(err)
+	}
+	batch := func(i int) []comm.Comm {
+		i %= batches
+		return pairs[i*size : (i+1)*size]
+	}
+	var out []Outcome
+	for i := 0; i < batches; i++ {
+		_, out = s.Serve(batch(i), out)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_, out = s.Serve(batch(i), out)
+	}
+	b.StopTimer()
+	for i, o := range out {
+		if o.Err != nil {
+			b.Fatalf("request %d: %v", i, o.Err)
+		}
+	}
+}
