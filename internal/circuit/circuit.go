@@ -32,6 +32,19 @@ func NewSwitches(t *topology.Tree) []*xbar.Switch {
 	return switches
 }
 
+// ResetSwitches returns crossbars for t in NewSwitches's layout, every one
+// in factory state (configuration and meters), reusing switches, an
+// earlier result of ResetSwitches or NewSwitches for any tree, when it has
+// room for t's.
+func ResetSwitches(t *topology.Tree, switches []*xbar.Switch) []*xbar.Switch {
+	if cap(switches) < t.Leaves() {
+		return NewSwitches(t)
+	}
+	switches = switches[:t.Leaves()]
+	t.EachSwitch(func(n topology.Node) { switches[n].Zero() })
+	return switches
+}
+
 // Configure establishes the circuit for one right-oriented communication:
 // child-side→parent connections up to the LCA, a left→right turn at the
 // LCA, and parent→child-side connections down to the destination leaf.

@@ -90,11 +90,29 @@ func (s *Set) Clone() *Set {
 // Validate checks that N is a power of two (>= 2), every endpoint is a PE in
 // [0, N), no communication is a self-loop, and every PE plays at most one
 // role (source of at most one, destination of at most one, never both).
+// Its memory is O(Len()) whatever N is; a Validator reuses it.
 func (s *Set) Validate() error {
+	var v Validator
+	return v.Validate(s)
+}
+
+// Validator is Set.Validate with scratch it keeps between calls, so a
+// caller validating set after set allocates nothing once the scratch has
+// grown to its largest set. The zero value is ready to use; a Validator is
+// not safe for concurrent use.
+type Validator struct {
+	roles Index // the PEs seen so far, keyed {pe, 0}: 0 a source, 1 a destination
+}
+
+// roleNames names the roles Validator records.
+var roleNames = [2]string{"source", "destination"}
+
+// Validate checks s as Set.Validate does.
+func (v *Validator) Validate(s *Set) error {
 	if s.N < 2 || s.N&(s.N-1) != 0 {
 		return fmt.Errorf("comm: N must be a power of two >= 2, got %d", s.N)
 	}
-	role := make(map[int]string, 2*len(s.Comms))
+	v.roles.Reset(2 * len(s.Comms))
 	for _, c := range s.Comms {
 		if c.Src < 0 || c.Src >= s.N || c.Dst < 0 || c.Dst >= s.N {
 			return fmt.Errorf("comm: %s out of range for N=%d", c, s.N)
@@ -102,16 +120,66 @@ func (s *Set) Validate() error {
 		if c.Src == c.Dst {
 			return fmt.Errorf("comm: self loop at PE %d", c.Src)
 		}
-		if r, ok := role[c.Src]; ok {
-			return fmt.Errorf("comm: PE %d already a %s, cannot also source %s", c.Src, r, c)
+		if r, ok := v.roles.Insert(Comm{Src: c.Src}, 0); ok {
+			return fmt.Errorf("comm: PE %d already a %s, cannot also source %s", c.Src, roleNames[r], c)
 		}
-		role[c.Src] = "source"
-		if r, ok := role[c.Dst]; ok {
-			return fmt.Errorf("comm: PE %d already a %s, cannot also receive %s", c.Dst, r, c)
+		if r, ok := v.roles.Insert(Comm{Src: c.Dst}, 1); ok {
+			return fmt.Errorf("comm: PE %d already a %s, cannot also receive %s", c.Dst, roleNames[r], c)
 		}
-		role[c.Dst] = "destination"
 	}
 	return nil
+}
+
+// Index is a hash table from communications to ints, for checks that ask
+// whether a set repeats a communication or a PE: an open-addressing table
+// of at least twice as many slots as keys, emptied in O(keys) by Reset and
+// reused set after set without allocating. Any ints are valid keys. The
+// zero value is ready once Reset; an Index is not safe for concurrent use.
+type Index struct {
+	keys  []Comm
+	vals  []int // vals[k]-1 is slot k's value; 0 marks an empty slot
+	shift uint  // 64 - log2(len(keys)): a hash's top bits pick its slot
+}
+
+// Reset empties x for up to n keys.
+func (x *Index) Reset(n int) {
+	size, shift := 4, uint(62)
+	for size < 2*n {
+		size, shift = 2*size, shift-1
+	}
+	if cap(x.keys) < size {
+		x.keys, x.vals = make([]Comm, size), make([]int, size)
+	}
+	x.keys, x.vals, x.shift = x.keys[:size], x.vals[:size], shift
+	clear(x.vals)
+}
+
+// slot returns c's slot, or the empty slot where c would go.
+func (x *Index) slot(c Comm) int {
+	h := uint64(c.Src)*0x9e3779b97f4a7c15 ^ uint64(c.Dst)*0xc2b2ae3d27d4eb4f
+	mask := len(x.keys) - 1
+	k := int(h >> x.shift)
+	for x.vals[k] != 0 && x.keys[k] != c {
+		k = (k + 1) & mask
+	}
+	return k
+}
+
+// Insert stores v under c unless c is already there. It returns the value
+// c holds afterwards and whether c was already there.
+func (x *Index) Insert(c Comm, v int) (int, bool) {
+	k := x.slot(c)
+	if x.vals[k] != 0 {
+		return x.vals[k] - 1, true
+	}
+	x.keys[k], x.vals[k] = c, v+1
+	return v, false
+}
+
+// Find returns c's value and whether c is there.
+func (x *Index) Find(c Comm) (int, bool) {
+	k := x.slot(c)
+	return x.vals[k] - 1, x.vals[k] != 0
 }
 
 // IsRightOriented reports whether every communication has Src < Dst.

@@ -14,13 +14,15 @@ import (
 // arbitrary mixed set and checks sched.FirstFit's occupancy table against
 // the conflict-graph first-fit it replaces: source-order assignGreedy on
 // Graph. Both must give the same rounds with the same contents in the same
-// order, and the table's width must be the graph's. Graph's adjacency
-// lists must match a brute-force scan.
+// order, and the table's width must be the graph's; one sched.FirstFitter
+// reused across the whole run must agree too. Graph's adjacency lists must
+// match a brute-force scan.
 func FuzzOccupancyFirstFit(f *testing.F) {
 	f.Add([]byte{0, 5, 3, 8, 12, 6, 14, 9}, uint8(0))
 	f.Add([]byte{0, 8, 1, 9, 2, 10, 3, 11}, uint8(1))
 	f.Add([]byte{10, 15, 14, 1, 12, 9, 6, 2, 8, 11, 3, 4, 0, 13, 7, 5}, uint8(0))
 	f.Add([]byte{}, uint8(2))
+	var ff sched.FirstFitter
 	f.Fuzz(func(t *testing.T, pairs []byte, size uint8) {
 		n := 8 << (size % 4) // 8 to 64 PEs
 		s := &comm.Set{N: n}
@@ -42,6 +44,9 @@ func FuzzOccupancyFirstFit(f *testing.F) {
 		}
 		if width != g.width {
 			t.Fatalf("set %v: occupancy width %d, graph width %d", s.Comms, width, g.width)
+		}
+		if reused, w := ff.FirstFit(tr, s); reused.String() != got.String() || w != width || reused.Set.N != n || !slices.Equal(reused.Set.Comms, s.Comms) {
+			t.Fatalf("set %v: reused first-fit (width %d)\n%sone-shot (width %d)\n%s", s.Comms, w, reused, width, got)
 		}
 		if err := got.Verify(tr); err != nil {
 			t.Fatalf("set %v: %v", s.Comms, err)

@@ -4,24 +4,32 @@ import (
 	"testing"
 
 	"cst/internal/comm"
+	"cst/internal/power"
 	"cst/internal/topology"
 )
 
 // FuzzHybridSchedule feeds raw byte pairs to the planner as communication
 // endpoints, under an exact budget the second argument picks (small ones
-// run out). Invalid sets (role clashes, self loops) must be rejected with
-// an error; every accepted set must yield a schedule that verifies against
-// the topology and books each PE into at most one communication per round,
-// with the set's width, the joint first-fit as its comparator and bound,
-// and — unless Exact ran out of budget — no more rounds than FirstFit on
-// the Decompose halves, which general.FirstFit computes.
+// run out; the top bit picks stateless billing). Every input goes both to
+// a one-shot Schedule and to one Scheduler reused across the whole run,
+// which must give the same error or the same plan: every Plan field, the
+// schedule and every switch's bill. Invalid sets (role clashes, self
+// loops) must be rejected with an error; every accepted set must yield a
+// schedule that verifies against the topology and books each PE into at
+// most one communication per round, with the set's width, the joint
+// first-fit as its comparator and bound, and — unless Exact ran out of
+// budget — no more rounds than FirstFit on the Decompose halves, which
+// general.FirstFit computes.
 func FuzzHybridSchedule(f *testing.F) {
 	f.Add([]byte{0, 5, 3, 8, 12, 6, 14, 9}, uint8(1))
 	f.Add([]byte{0, 8, 1, 9, 2, 10, 3, 11}, uint8(2))
 	f.Add([]byte{15, 0, 7, 3, 2, 12}, uint8(1))
+	f.Add([]byte{10, 15, 14, 1, 12, 9, 6, 2, 8, 11, 3, 4, 0, 13, 7, 5}, uint8(0))
+	f.Add([]byte{0, 3, 1, 2, 4, 4}, uint8(129))
 	f.Add([]byte{}, uint8(1))
 	const n = 16
 	tree := topology.MustNew(n)
+	var sc Scheduler
 	f.Fuzz(func(t *testing.T, pairs []byte, budget uint8) {
 		s := &comm.Set{N: n}
 		for i := 0; i+1 < len(pairs) && len(s.Comms) < n/2; i += 2 {
@@ -29,7 +37,11 @@ func FuzzHybridSchedule(f *testing.F) {
 				Src: int(pairs[i]) % n, Dst: int(pairs[i+1]) % n,
 			})
 		}
-		plan, err := Schedule(tree, s, WithExactBudget(1+int(budget)*40))
+		opts := []Option{WithExactBudget(1 + int(budget%128)*40), WithMode(power.Mode(budget / 128))}
+		plan, err := Schedule(tree, s, opts...)
+		if got, want := renderPlan(sc.Schedule(tree, s, opts...)), renderPlan(plan, err); got != want {
+			t.Fatalf("set %v: reused Scheduler\n%s\none-shot Schedule\n%s", s.Comms, got, want)
+		}
 		if s.Validate() != nil {
 			if err == nil {
 				t.Fatalf("invalid set %v accepted", s.Comms)

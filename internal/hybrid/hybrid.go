@@ -107,6 +107,15 @@ func WithTracer(tr *obs.Tracer) Option { return func(c *config) { c.tracer = tr 
 // of ctx. A zero or unsampled context — or a nil tracer — is inert.
 func WithSpanContext(ctx obs.SpanContext) Option { return func(c *config) { c.span = ctx } }
 
+// now reads the clock for a traced Schedule call: only traces carry
+// timings, so an untraced call reads none.
+func (c *config) now() time.Time {
+	if c.tracer == nil {
+		return time.Time{}
+	}
+	return time.Now()
+}
+
 // stageSpan emits one pipeline-stage span for a traced Schedule call.
 func stageSpan(cfg *config, name string, start time.Time, n int) {
 	if cfg.tracer == nil || !cfg.span.Valid() {
@@ -155,22 +164,64 @@ type Plan struct {
 
 // Schedule plans an arbitrary valid communication set. The set may mix
 // orientations and cross arbitrarily; it must pass comm.Validate and match
-// the tree's leaf count, or the error wraps ErrInvalidSet.
+// the tree's leaf count, or the error wraps ErrInvalidSet. It is a
+// Scheduler's Schedule on a Scheduler of its own, so the plan it returns
+// is the caller's to keep.
 func Schedule(t *topology.Tree, s *comm.Set, opts ...Option) (*Plan, error) {
-	cfg := config{mode: power.Stateful, exactBudget: DefaultExactBudget}
+	return new(Scheduler).Schedule(t, s, opts...)
+}
+
+// Scheduler is the planning pipeline with every buffer a plan needs kept
+// between calls: the validator's and the verifier's scratch, the
+// first-fit occupancy table, order, round assignment and schedule storage
+// (the set copy included), the replay's crossbars and trace marks, and
+// the power report. An untraced plan whose first-fit meets the set's
+// width allocates nothing once the buffers have grown; the conflict graph
+// and the Exact search of the other plans, padr runs for the paper's
+// inputs and trace events allocate as Schedule's do.
+//
+// A Plan a Scheduler returns (its Schedule, Schedule.Set and Report
+// included) is the Scheduler's storage, valid only until its next call: a
+// caller that keeps any of it copies it first. Each buffer stays as large
+// as the most any one plan has needed, so a Scheduler retains no more than
+// one plan's scratch at the largest set and tree it has served. The zero
+// value is ready to use; a Scheduler is not safe for concurrent use.
+type Scheduler struct {
+	cfg    config
+	plan   Plan
+	valid  comm.Validator
+	ff     sched.FirstFitter
+	verify sched.Verifier
+
+	switches []*xbar.Switch
+	report   power.Report
+	// The traced replay's marks: mark[n] == stamp once the round being
+	// replayed has snapshotted switch n into before[n] and listed it in
+	// touched. Every round takes a fresh stamp, so marks never need
+	// clearing.
+	mark    []int
+	stamp   int
+	before  []xbar.Config
+	touched []topology.Node
+}
+
+// Schedule plans s on t as the package-level Schedule does, on sc's
+// buffers.
+func (sc *Scheduler) Schedule(t *topology.Tree, s *comm.Set, opts ...Option) (*Plan, error) {
+	sc.cfg = config{mode: power.Stateful, exactBudget: DefaultExactBudget}
 	for _, o := range opts {
-		o(&cfg)
+		o(&sc.cfg)
 	}
 	if t.Leaves() != s.N {
 		return nil, fmt.Errorf("%w: tree has %d leaves, set has N=%d", ErrInvalidSet, t.Leaves(), s.N)
 	}
-	if err := s.Validate(); err != nil {
+	if err := sc.valid.Validate(s); err != nil {
 		return nil, fmt.Errorf("%w: %w", ErrInvalidSet, err)
 	}
 
-	stageStart := time.Now()
-	ff, width := sched.FirstFit(t, s)
-	plan := &Plan{
+	stageStart := sc.cfg.now()
+	ff, width := sc.ff.FirstFit(t, s)
+	sc.plan = Plan{
 		Schedule:       ff,
 		Width:          width,
 		Bound:          ff.NumRounds(),
@@ -178,8 +229,9 @@ func Schedule(t *topology.Tree, s *comm.Set, opts ...Option) (*Plan, error) {
 		ResidualComms:  s.Len(),
 		FirstFitRounds: ff.NumRounds(),
 	}
+	plan := &sc.plan
 	if in, mirrored := paperInput(s); in != nil {
-		eng, err := padr.New(t, in, padr.WithMode(cfg.mode))
+		eng, err := padr.New(t, in, padr.WithMode(sc.cfg.mode))
 		if err != nil {
 			return nil, fmt.Errorf("hybrid: padr engine: %w", err)
 		}
@@ -193,7 +245,7 @@ func Schedule(t *topology.Tree, s *comm.Set, opts ...Option) (*Plan, error) {
 		}
 		plan.Strategy, plan.Batches, plan.ResidualComms = StrategyPeel, 1, 0
 	} else if ff.NumRounds() > width {
-		ex, exhausted, err := general.Incumbent(general.Graph(t, s).Exact(cfg.exactBudget))
+		ex, exhausted, err := general.Incumbent(general.Graph(t, s).Exact(sc.cfg.exactBudget))
 		if err != nil {
 			return nil, err
 		}
@@ -203,20 +255,21 @@ func Schedule(t *topology.Tree, s *comm.Set, opts ...Option) (*Plan, error) {
 		}
 	}
 	plan.Rounds = plan.Schedule.NumRounds()
-	stageSpan(&cfg, "hybrid.color", stageStart, plan.Rounds)
+	stageSpan(&sc.cfg, "hybrid.color", stageStart, plan.Rounds)
 
 	// The plan is checked against the topology before anything is billed
 	// or served, by code that shares nothing with the occupancy table.
-	if err := plan.Schedule.Verify(t); err != nil {
+	if err := sc.verify.Verify(t, plan.Schedule); err != nil {
 		return nil, fmt.Errorf("hybrid: schedule invalid: %w", err)
 	}
 	if plan.Rounds > plan.FirstFitRounds {
 		return nil, fmt.Errorf("hybrid: %d rounds exceed the first-fit comparator %d", plan.Rounds, plan.FirstFitRounds)
 	}
 
-	stageStart = time.Now()
-	plan.Report = replay(t, plan, cfg)
-	stageSpan(&cfg, "hybrid.replay", stageStart, plan.Rounds)
+	stageStart = sc.cfg.now()
+	sc.replay(t)
+	plan.Report = &sc.report
+	stageSpan(&sc.cfg, "hybrid.replay", stageStart, plan.Rounds)
 	return plan, nil
 }
 
@@ -243,38 +296,38 @@ func paperInput(s *comm.Set) (in *comm.Set, mirrored bool) {
 }
 
 // replay executes the chosen schedule circuit by circuit on one set of
-// physical switches, billing power under the configured mode and emitting
-// the Engine "hybrid" trace. Rounds mix orientations, so circuits are
-// established with circuit.ConfigureAny. The run.done event carries Bound
-// in the Width field: the audit monitor checks the traced round count
-// against it.
-func replay(t *topology.Tree, plan *Plan, cfg config) *power.Report {
-	switches := circuit.NewSwitches(t)
+// physical switches, billing power into sc.report under the configured
+// mode and emitting the Engine "hybrid" trace. Rounds mix orientations,
+// so circuits are established with circuit.ConfigureAny. The run.done
+// event carries Bound in the Width field: the audit monitor checks the
+// traced round count against it.
+func (sc *Scheduler) replay(t *topology.Tree) {
+	plan, cfg := &sc.plan, &sc.cfg
+	sc.switches = circuit.ResetSwitches(t, sc.switches)
+	switches := sc.switches
 	tr := cfg.tracer
 	trace := ""
 	if cfg.span.Valid() {
 		trace = cfg.span.Trace.String()
 	}
-	runStart := time.Now()
+	runStart := cfg.now()
 	// A traced replay diffs only the switches on a round's circuits, the
-	// only ones the round can change: touched lists them, mark[n] == i+1
-	// once round i has, and before[n] is n's configuration at that point.
-	var (
-		touched []topology.Node
-		mark    []int
-		before  []xbar.Config
-	)
+	// only ones the round can change.
 	if tr != nil {
 		tr.Emit(obs.Event{Type: "run.start", Engine: Engine, Round: -1,
 			N: plan.Schedule.Set.Len(), Mode: cfg.mode.String(), Trace: trace})
-		mark = make([]int, len(switches))
-		before = make([]xbar.Config, len(switches))
+		if len(sc.mark) < len(switches) {
+			sc.mark = make([]int, len(switches))
+			sc.before = make([]xbar.Config, len(switches))
+		}
 	}
+	mark, before := sc.mark, sc.before
 	for i, round := range plan.Schedule.Rounds {
-		roundStart := time.Now()
+		roundStart := cfg.now()
 		if tr != nil {
 			tr.Emit(obs.Event{Type: "round.start", Engine: Engine, Round: i})
-			touched = touched[:0]
+			sc.touched = sc.touched[:0]
+			sc.stamp++
 		}
 		if cfg.mode == power.Stateless {
 			t.EachSwitch(func(n topology.Node) { switches[n].Reset() })
@@ -288,9 +341,9 @@ func replay(t *topology.Tree, plan *Plan, cfg config) *power.Report {
 				lca := t.LCA(c.Src, c.Dst)
 				for _, leaf := range [2]topology.Node{t.Leaf(c.Src), t.Leaf(c.Dst)} {
 					for n := t.Parent(leaf); ; n = t.Parent(n) {
-						if mark[n] != i+1 {
-							mark[n], before[n] = i+1, switches[n].Config()
-							touched = append(touched, n)
+						if mark[n] != sc.stamp {
+							mark[n], before[n] = sc.stamp, switches[n].Config()
+							sc.touched = append(sc.touched, n)
 						}
 						if n == lca {
 							break
@@ -307,8 +360,8 @@ func replay(t *topology.Tree, plan *Plan, cfg config) *power.Report {
 		if tr != nil {
 			// Trace only genuine reconfigurations, in node order like the
 			// engines do: the events are the audit trail for the power bill.
-			slices.Sort(touched)
-			for _, n := range touched {
+			slices.Sort(sc.touched)
+			for _, n := range sc.touched {
 				if after := switches[n].Config(); after != before[n] {
 					tr.Emit(obs.Event{Type: "switch.config", Engine: Engine,
 						Round: i, Node: int(n), Config: after.String()})
@@ -318,11 +371,10 @@ func replay(t *topology.Tree, plan *Plan, cfg config) *power.Report {
 				N: len(round), DurNS: time.Since(roundStart).Nanoseconds()})
 		}
 	}
-	report := power.Collect(Engine, cfg.mode, plan.Rounds, t, switches)
+	sc.report.Collect(Engine, cfg.mode, plan.Rounds, t, switches)
 	if tr != nil {
 		tr.Emit(obs.Event{Type: "run.done", Engine: Engine, Round: -1,
 			N: plan.Rounds, Width: plan.Bound,
 			DurNS: time.Since(runStart).Nanoseconds(), Trace: trace})
 	}
-	return report
 }

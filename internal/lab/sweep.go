@@ -222,9 +222,15 @@ func measure(engine, workload string, n, w, reps int, seed int64) (*Measurement,
 		}
 
 	case EngineHybrid:
+		// One Scheduler plans every rep, after an untimed plan has grown
+		// its buffers, as the serving planner's are between requests.
+		var sc hybrid.Scheduler
+		if _, err := sc.Schedule(tree, set); err != nil {
+			return nil, err
+		}
 		for i := 0; i < reps; i++ {
 			t0 := time.Now()
-			plan, err := hybrid.Schedule(tree, clones[i])
+			plan, err := sc.Schedule(tree, clones[i])
 			if err != nil {
 				return nil, err
 			}

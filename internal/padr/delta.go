@@ -147,6 +147,9 @@ func (e *Engine) ApplyRounds(d Delta) (int, error) { return e.apply(d, true) }
 // apply is run for the delta path: restore the live arrays, mutate the
 // set, patch Phase 1 along the dirty paths and finish.
 func (e *Engine) apply(d Delta, light bool) (int, error) {
+	if e.rejected != nil {
+		return 0, fmt.Errorf("%w: the last Reset was rejected: %w", ErrNotReady, e.rejected)
+	}
 	if !e.deltaOK {
 		return 0, ErrNotReady
 	}

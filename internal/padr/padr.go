@@ -247,6 +247,10 @@ type Engine struct {
 	remaining int  // communications not yet performed
 	prune     bool // active-path pruning enabled this run (no word observers)
 
+	// rejected is the error of the last Reset if it was rejected: Run,
+	// RunRounds and Apply refuse until a Reset succeeds.
+	rejected error
+
 	// per-round scratch
 	roundSrcs    []int
 	roundDsts    []bool // indexed by PE; entries listed in roundDstList
@@ -486,13 +490,17 @@ func (e *Engine) clearPath(pe int) {
 // are left untouched so cross-run billing keeps accumulating exactly as it
 // would across fresh engines sharing them.
 // Options passed here are applied on top of the engine's existing ones.
+// After a rejected Reset the engine holds no set: Run, RunRounds and Apply
+// refuse, naming the rejection, until a Reset succeeds.
 func (e *Engine) Reset(s *comm.Set, opts ...Option) error {
 	e.deltaOK = false
 	e.retire()
 	if err := e.arm(s); err != nil {
 		e.sparse = false // arm may have loaded part of s
+		e.rejected = err
 		return err
 	}
+	e.rejected = nil
 	if e.ownXbars {
 		for _, sw := range e.switches {
 			if sw != nil {
@@ -558,6 +566,9 @@ func (e *Engine) RunRounds() (int, error) { return e.run(true) }
 // [0,0] word, or matches every switch when an injector is armed (every
 // word must pass it) or the arenas are not sparse; then runPhases finishes.
 func (e *Engine) run(light bool) (int, error) {
+	if e.rejected != nil {
+		return 0, e.fail(fmt.Errorf("padr: no set to run: the last Reset was rejected: %w", e.rejected))
+	}
 	if e.ran {
 		return 0, e.fail(fmt.Errorf("padr: engine is single-use; create a new one"))
 	}

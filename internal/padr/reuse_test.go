@@ -1,9 +1,11 @@
 package padr
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"cst/internal/circuit"
@@ -206,33 +208,55 @@ func TestResetMatchesFresh(t *testing.T) {
 }
 
 // TestResetSurvivesArmFailure pins that a rejected Reset (bad set) leaves
-// the engine usable: the next valid Reset+Run matches a fresh engine.
+// the engine holding no set, whether it ran before or not: Run, RunRounds
+// and Apply refuse, naming the rejected Reset, until a Reset succeeds, and
+// the next valid Reset+Run matches a fresh engine.
 func TestResetSurvivesArmFailure(t *testing.T) {
 	tree := topology.MustNew(16)
+	first := comm.NewSet(16, comm.Comm{Src: 0, Dst: 3})
 	good := comm.MustParse("((.))((.))......")
-	eng, err := New(tree, good)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := eng.Run(); err != nil {
-		t.Fatal(err)
-	}
 	// Crossing set: arm must reject it.
-	bad := comm.NewSet(16, comm.Comm{Src: 0, Dst: 2}, comm.Comm{Src: 1, Dst: 3})
-	if err := eng.Reset(bad); err == nil {
-		t.Fatal("Reset accepted a crossing set")
-	}
-	if err := eng.Reset(good); err != nil {
-		t.Fatalf("Reset after failure: %v", err)
-	}
-	reused, err := eng.Run()
-	if err != nil {
-		t.Fatalf("run after failed Reset: %v", err)
-	}
-	fe, _ := New(tree, good)
-	fresh, _ := fe.Run()
-	if !reflect.DeepEqual(digest(reused), digest(fresh)) {
-		t.Error("engine diverged from fresh after a failed Reset")
+	bad := comm.NewSet(16, comm.Comm{Src: 0, Dst: 5}, comm.Comm{Src: 2, Dst: 8})
+	for _, ranBefore := range []bool{false, true} {
+		name := fmt.Sprintf("ran before: %t", ranBefore)
+		eng, err := New(tree, first)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ranBefore {
+			if _, err := eng.Run(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := eng.Reset(bad); err == nil {
+			t.Fatalf("%s: Reset accepted a crossing set", name)
+		}
+		for i := 0; i < 2; i++ {
+			for call, run := range map[string]func() error{
+				"Run":       func() error { _, err := eng.Run(); return err },
+				"RunRounds": func() error { _, err := eng.RunRounds(); return err },
+				"Apply": func() error {
+					_, err := eng.Apply(Delta{Add: []comm.Comm{{Src: 12, Dst: 13}}})
+					return err
+				},
+			} {
+				if err := run(); err == nil || !strings.Contains(err.Error(), "the last Reset was rejected") {
+					t.Errorf("%s: %s after a rejected Reset: %v, want a refusal naming it", name, call, err)
+				}
+			}
+		}
+		if _, err := eng.Apply(Delta{}); !errors.Is(err, ErrNotReady) {
+			t.Errorf("%s: Apply after a rejected Reset: %v, want ErrNotReady", name, err)
+		}
+		if err := eng.Reset(good); err != nil {
+			t.Fatalf("%s: Reset after failure: %v", name, err)
+		}
+		reused, err := eng.Run()
+		if err != nil {
+			t.Fatalf("%s: run after failed Reset: %v", name, err)
+		}
+		sameAsFresh(t, name, tree, good, nil, reused)
+		checkSparse(t, eng)
 	}
 }
 

@@ -14,6 +14,7 @@ package power
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -71,8 +72,16 @@ type Report struct {
 // indexed by node as circuit.NewSwitches lays them out (entry 0 unused). A
 // missing or nil entry reads as an idle switch.
 func Collect(algorithm string, mode Mode, rounds int, t *topology.Tree, switches []*xbar.Switch) *Report {
-	r := &Report{Algorithm: algorithm, Mode: mode, Rounds: rounds}
-	r.Switches = make([]SwitchReport, 0, t.Switches())
+	r := new(Report)
+	r.Collect(algorithm, mode, rounds, t, switches)
+	return r
+}
+
+// Collect is the package-level Collect into r, reusing the storage of
+// r.Switches, so a caller that bills run after run into one Report
+// allocates nothing once it has held the largest tree's ledger.
+func (r *Report) Collect(algorithm string, mode Mode, rounds int, t *topology.Tree, switches []*xbar.Switch) {
+	*r = Report{Algorithm: algorithm, Mode: mode, Rounds: rounds, Switches: slices.Grow(r.Switches[:0], t.Switches())}
 	t.EachSwitch(func(n topology.Node) {
 		rep := SwitchReport{Node: n}
 		if int(n) < len(switches) && switches[n] != nil {
@@ -81,7 +90,6 @@ func Collect(algorithm string, mode Mode, rounds int, t *topology.Tree, switches
 		}
 		r.Switches = append(r.Switches, rep)
 	})
-	return r
 }
 
 // TotalUnits sums power units over all switches.

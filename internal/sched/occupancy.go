@@ -1,7 +1,6 @@
 package sched
 
 import (
-	"cmp"
 	"math/bits"
 	"slices"
 
@@ -30,15 +29,18 @@ type occupancy struct {
 	width  int
 }
 
-// newOccupancy returns an empty table for t.
-func newOccupancy(t *topology.Tree) *occupancy {
-	links := t.DirectedEdgeCount()
-	return &occupancy{
-		t:     t,
-		links: links,
-		busy:  make([]uint64, links),
-		load:  make([]int, links),
-		path:  make([]int, 0, 2*t.Levels()),
+// reset empties the table for t, reusing its arrays: it clears the blocks
+// the last schedule used, and grows the arrays when t has more links than
+// any earlier tree.
+func (o *occupancy) reset(t *topology.Tree) {
+	clear(o.busy[:(o.rounds+63)/64*o.links])
+	clear(o.load[:o.links])
+	o.t, o.links, o.rounds, o.width = t, t.DirectedEdgeCount(), 0, 0
+	if len(o.busy) < o.links {
+		o.busy = make([]uint64, o.links)
+	}
+	if len(o.load) < o.links {
+		o.load = make([]int, o.links)
 	}
 }
 
@@ -67,8 +69,8 @@ func (o *occupancy) place(c comm.Comm) int {
 		}
 	}
 	if round == o.rounds {
-		if round == 64*(len(o.busy)/o.links) {
-			o.busy = append(o.busy, make([]uint64, o.links)...)
+		if need := (round/64 + 1) * o.links; need > len(o.busy) {
+			o.busy = append(o.busy, make([]uint64, need-len(o.busy))...)
 		}
 		o.rounds++
 	}
@@ -87,40 +89,84 @@ func (o *occupancy) place(c comm.Comm) int {
 // order. It also returns the set's width, counted in the same pass. The
 // set is not checked: callers validate it first.
 func FirstFit(t *topology.Tree, s *comm.Set) (*Schedule, int) {
-	order := make([]int, s.Len())
-	for i := range order {
-		order[i] = i
+	var f FirstFitter
+	return f.FirstFit(t, s)
+}
+
+// FirstFitter is FirstFit with the occupancy table, the source order, the
+// round assignment and the schedule's storage kept between calls, so a
+// caller fitting set after set allocates nothing once they have grown to
+// its largest set and tree. The zero value is ready to use. The schedule
+// FirstFit returns, its Set included, is the FirstFitter's storage: valid
+// only until its next call. A FirstFitter is not safe for concurrent use.
+type FirstFitter struct {
+	occ    occupancy
+	order  []uint64 // source<<32 | index, sorted
+	rounds []int
+	arena  arena
+}
+
+// FirstFit is the package-level FirstFit on f's buffers.
+func (f *FirstFitter) FirstFit(t *topology.Tree, s *comm.Set) (*Schedule, int) {
+	// Sources are distinct PEs of t in a valid set, so sorting source<<32|i
+	// orders the communications totally by source.
+	order := f.order[:0]
+	for i, c := range s.Comms {
+		order = append(order, uint64(c.Src)<<32|uint64(i))
 	}
-	// Sources are distinct in a valid set, so the order is total.
-	slices.SortFunc(order, func(a, b int) int { return cmp.Compare(s.Comms[a].Src, s.Comms[b].Src) })
-	occ := newOccupancy(t)
-	rounds := make([]int, s.Len())
-	for _, i := range order {
-		rounds[i] = occ.place(s.Comms[i])
+	f.order = order
+	slices.Sort(order)
+	f.occ.reset(t)
+	f.rounds = slices.Grow(f.rounds[:0], len(order))[:len(order)]
+	for _, key := range order {
+		i := int(key & (1<<32 - 1))
+		f.rounds[i] = f.occ.place(s.Comms[i])
 	}
-	return FromRounds(s, rounds), occ.width
+	return f.arena.fromRounds(s, f.rounds), f.occ.width
 }
 
 // FromRounds builds the schedule that performs communication i of s in
 // round rounds[i]; rounds must number 0, 1, ... without gaps. Each round
 // lists its communications in the set's order, and all rounds share one
-// backing array.
+// backing array. The schedule's Set is a copy of s.
 func FromRounds(s *comm.Set, rounds []int) *Schedule {
+	var a arena
+	return a.fromRounds(s, rounds)
+}
+
+// arena is the storage of one schedule, rebuilt in place by fromRounds:
+// the Schedule, its copy of the set, the round lists and their one backing
+// array.
+type arena struct {
+	sch   Schedule
+	set   comm.Set
+	lists [][]comm.Comm
+	flat  []comm.Comm
+	sizes []int
+}
+
+// fromRounds is FromRounds into a's storage, which the schedule it returns
+// is valid only until the next call.
+func (a *arena) fromRounds(s *comm.Set, rounds []int) *Schedule {
 	n := 0
 	for _, r := range rounds {
 		n = max(n, r+1)
 	}
-	sizes := make([]int, n)
+	sizes := slices.Grow(a.sizes[:0], n)[:n]
+	clear(sizes)
 	for _, r := range rounds {
 		sizes[r]++
 	}
-	out := make([][]comm.Comm, n)
-	flat := make([]comm.Comm, len(rounds))
+	lists := slices.Grow(a.lists[:0], n)[:n]
+	flat := slices.Grow(a.flat[:0], len(rounds))[:len(rounds)]
+	a.sizes, a.lists, a.flat = sizes, lists, flat
 	for r, k := range sizes {
-		out[r], flat = flat[:0:k], flat[k:]
+		lists[r], flat = flat[:0:k], flat[k:]
 	}
 	for i, r := range rounds {
-		out[r] = append(out[r], s.Comms[i])
+		lists[r] = append(lists[r], s.Comms[i])
 	}
-	return &Schedule{Set: s.Clone(), Rounds: out}
+	a.set = comm.Set{N: s.N, Comms: append(a.set.Comms[:0], s.Comms...)}
+	a.sch = Schedule{Set: &a.set, Rounds: lists}
+	return &a.sch
 }

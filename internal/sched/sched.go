@@ -12,6 +12,7 @@ package sched
 
 import (
 	"fmt"
+	"slices"
 
 	"cst/internal/comm"
 	"cst/internal/topology"
@@ -89,34 +90,57 @@ func UnmirrorSchedule(s *Schedule) *Schedule {
 //
 // It returns nil if and only if all three hold.
 func (s *Schedule) Verify(t *topology.Tree) error {
-	if s.Set == nil {
+	var v Verifier
+	return v.Verify(t, s)
+}
+
+// Verifier is Schedule.Verify with scratch it keeps between calls, so a
+// caller verifying schedule after schedule allocates nothing once the
+// scratch has grown to its largest set and tree. The zero value is ready
+// to use; a Verifier is not safe for concurrent use.
+type Verifier struct {
+	index comm.Index // the set: communication -> its index
+	seen  []bool     // seen[i]: communication i of the set is scheduled
+	used  []uint32   // used[e] == round: the round being checked holds link e
+	round uint32     // the stamp of the round being checked, never reused
+}
+
+// Verify checks sch against t as Schedule.Verify does and returns the same
+// error. When several communications are never scheduled it names the
+// first in the set's order.
+func (v *Verifier) Verify(t *topology.Tree, sch *Schedule) error {
+	if sch.Set == nil {
 		return fmt.Errorf("sched: schedule has no set")
 	}
-	if t.Leaves() != s.Set.N {
-		return fmt.Errorf("sched: tree has %d leaves, set has N=%d", t.Leaves(), s.Set.N)
+	if t.Leaves() != sch.Set.N {
+		return fmt.Errorf("sched: tree has %d leaves, set has N=%d", t.Leaves(), sch.Set.N)
 	}
-	want := make(map[comm.Comm]int, s.Set.Len())
-	for _, c := range s.Set.Comms {
-		want[c]++
-		if want[c] > 1 {
+	comms := sch.Set.Comms
+	v.index.Reset(len(comms))
+	for i, c := range comms {
+		if _, dup := v.index.Insert(c, i); dup {
 			return fmt.Errorf("sched: set contains duplicate communication %s", c)
 		}
 	}
-	seen := make(map[comm.Comm]int, s.Set.Len())
-	congestion := make([]int, t.DirectedEdgeCount())
-	for i, round := range s.Rounds {
-		// Reset congestion per round without reallocating.
-		for j := range congestion {
-			congestion[j] = 0
+	v.seen = slices.Grow(v.seen[:0], len(comms))[:len(comms)]
+	clear(v.seen)
+	if links := t.DirectedEdgeCount(); len(v.used) < links {
+		v.used, v.round = make([]uint32, links), 0
+	}
+	for i, round := range sch.Rounds {
+		if v.round++; v.round == 0 {
+			clear(v.used)
+			v.round = 1
 		}
 		for _, c := range round {
-			if _, ok := want[c]; !ok {
+			k, ok := v.index.Find(c)
+			if !ok {
 				return fmt.Errorf("sched: round %d schedules %s, which is not in the set", i, c)
 			}
-			seen[c]++
-			if seen[c] > 1 {
+			if v.seen[k] {
 				return fmt.Errorf("sched: communication %s scheduled more than once (again in round %d)", c, i)
 			}
+			v.seen[k] = true
 			// Report the first reused link in source-to-destination order.
 			// EachPathEdge walks the down leg from the leaf up, so a later
 			// reuse on that leg lies earlier on the path.
@@ -124,10 +148,10 @@ func (s *Schedule) Verify(t *topology.Tree) error {
 			clash := false
 			err := t.EachPathEdge(c.Src, c.Dst, func(e topology.Edge) {
 				idx := t.EdgeIndex(e)
-				congestion[idx]++
-				if congestion[idx] > 1 && (!clash || reused.Dir == topology.Down) {
+				if v.used[idx] == v.round && (!clash || reused.Dir == topology.Down) {
 					reused, clash = e, true
 				}
+				v.used[idx] = v.round
 			})
 			if err != nil {
 				return fmt.Errorf("sched: round %d: %v", i, err)
@@ -137,8 +161,8 @@ func (s *Schedule) Verify(t *topology.Tree) error {
 			}
 		}
 	}
-	for c := range want {
-		if seen[c] == 0 {
+	for i, c := range comms {
+		if !v.seen[i] {
 			return fmt.Errorf("sched: communication %s never scheduled", c)
 		}
 	}

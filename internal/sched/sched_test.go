@@ -346,7 +346,8 @@ func TestFirstFitPastOneBlock(t *testing.T) {
 	if err := got.Verify(tr); err != nil {
 		t.Fatal(err)
 	}
-	occ := newOccupancy(tr)
+	var occ occupancy
+	occ.reset(tr)
 	for _, c := range s.Comms[:127] {
 		occ.place(c)
 	}

@@ -3,9 +3,9 @@
 // the Planner answers whole communication sets — including non-well-nested
 // ones — by running the hybrid planner (one coloring of the whole set over
 // directed tree links, or padr for the paper's own inputs) and returning
-// the plan's shape and power bill. Planning is CPU work on
-// shared physical-switch replay state, so a mutex serializes plans; the
-// per-size topology trees are cached across requests.
+// the plan's shape and power bill. Planning is CPU work on one
+// hybrid.Scheduler, whose buffers every plan reuses, so a mutex serializes
+// plans; the per-size topology trees are cached across requests.
 //
 // The Planner deliberately does not touch the Pool: admission counters,
 // the drain ledger and the zero-alloc pair path are invariants of the
@@ -33,10 +33,18 @@ const MaxPlanComms = 1024
 // MaxPlanPEs caps the PE count n of a planned set on both transports.
 // Planning costs O(n) whatever the set's size, so n, not the comm count,
 // bounds what one request can cost: on a 2-vCPU Xeon VM a one-comm plan
-// at n = 16,384 took about 17 ms and allocated 13.5 MiB, at n = 65,536
-// about 70 ms and 54 MiB, all under the planner's mutex. The cap also
-// bounds the tree cache to log2(MaxPlanPEs) trees (0.4 MiB at the cap),
-// and it leaves 8x room over the n = 2,048 a full MaxPlanComms set needs.
+// (the paper's input, which padr plans on a fresh engine) at n = 16,384
+// took about 5 ms and allocated 8 MiB, at n = 65,536 about 17 ms and
+// 32 MiB, all under the planner's mutex. The cap also bounds the tree
+// cache to log2(MaxPlanPEs) trees (0.4 MiB at the cap), and it leaves 8x
+// room over the n = 2,048 a full MaxPlanComms set needs.
+//
+// It bounds what the planner retains between plans too: its one
+// hybrid.Scheduler keeps the scratch of the largest plan it has served.
+// The worst case is MaxPlanComms circuits crossing the root at the cap,
+// 1,024 rounds: 11.7 MiB beside the trees, 8 MiB of it the occupancy
+// table. A random two-sided set of that size (262 rounds) leaves 5.4 MiB,
+// and at n = 2,048 the two leave 1.6 and 0.8 MiB.
 const MaxPlanPEs = 1 << 14
 
 // PlannerConfig parameterizes a Planner. Plans use the hybrid default
@@ -136,6 +144,7 @@ type Planner struct {
 
 	mu    sync.Mutex
 	trees map[int]*topology.Tree
+	sched hybrid.Scheduler // plans every set, under mu
 }
 
 // NewPlanner builds a set planner.
@@ -192,12 +201,30 @@ func (p *Planner) plan(s *comm.Set, proto uint8, includeRounds bool, sctx obs.Sp
 	}
 
 	p.mu.Lock()
+	res = p.schedule(s, includeRounds, planCtx)
+	p.mu.Unlock()
+	if res.Status != 200 {
+		p.met.failed.Inc()
+		return res
+	}
+	p.met.planned.Inc()
+	if int(proto) < protoCount {
+		p.met.proto[proto].planned.Inc()
+	}
+	p.met.units.Add(res.Units)
+	p.met.rounds.Observe(float64(res.Rounds))
+	p.met.seconds.ObserveDuration(time.Since(start))
+	return res
+}
+
+// schedule plans s on the cached tree for its n, under p.mu. The plan is
+// the scheduler's storage until its next call, so everything the result
+// carries is copied out here, before the caller unlocks.
+func (p *Planner) schedule(s *comm.Set, includeRounds bool, planCtx obs.SpanContext) SetResult {
 	tree := p.trees[s.N]
 	if tree == nil {
 		t, err := topology.New(s.N)
 		if err != nil {
-			p.mu.Unlock()
-			p.met.failed.Inc()
 			return SetResult{Status: 400, Err: err.Error()}
 		}
 		tree = t
@@ -210,20 +237,17 @@ func (p *Planner) plan(s *comm.Set, proto uint8, includeRounds bool, sctx obs.Sp
 	if planCtx.Valid() || p.cfg.Tracer.Streaming() {
 		engineTracer = p.cfg.Tracer
 	}
-	plan, err := hybrid.Schedule(tree, s,
+	plan, err := p.sched.Schedule(tree, s,
 		hybrid.WithTracer(engineTracer),
 		hybrid.WithSpanContext(planCtx))
-	p.mu.Unlock()
 	if err != nil {
-		p.met.failed.Inc()
 		// hybrid.Schedule validates the set: the planner does not again.
 		if errors.Is(err, hybrid.ErrInvalidSet) {
 			return SetResult{Status: 400, Err: err.Error()}
 		}
 		return SetResult{Status: 500, Err: err.Error()}
 	}
-
-	res = SetResult{
+	res := SetResult{
 		Status:        200,
 		Rounds:        plan.Rounds,
 		Bound:         plan.Bound,
@@ -244,13 +268,6 @@ func (p *Planner) plan(s *comm.Set, proto uint8, includeRounds bool, sctx obs.Sp
 			res.Schedule[i] = rs
 		}
 	}
-	p.met.planned.Inc()
-	if int(proto) < protoCount {
-		p.met.proto[proto].planned.Inc()
-	}
-	p.met.units.Add(res.Units)
-	p.met.rounds.Observe(float64(res.Rounds))
-	p.met.seconds.ObserveDuration(time.Since(start))
 	return res
 }
 

@@ -6,13 +6,17 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
+	"runtime"
 	"strings"
+	"sync"
 	"testing"
 
 	"cst/internal/audit"
 	"cst/internal/comm"
 	"cst/internal/hybrid"
 	"cst/internal/obs"
+	"cst/internal/topology"
 )
 
 // seededSets draws k of servebench's set-random shape: 16-comm two-sided
@@ -51,9 +55,10 @@ func TestUnsampledPlanAllocs(t *testing.T) {
 	if unsampled != untraced {
 		t.Errorf("unsampled plan: %.0f allocations, untraced %.0f", unsampled, untraced)
 	}
-	// The ceiling leaves headroom over a plan whose first-fit meets the
-	// width and so builds no conflict graph (50 allocations on this set);
-	// splitting the set by orientation and peeling each half cost 242.
+	// The ceiling is loose: this set's first-fit meets its width, so it
+	// builds no conflict graph and plans in 0 allocations on a warm
+	// planner, which TestPlannerAllocFree pins; splitting the set by
+	// orientation and peeling each half cost 242.
 	if untraced > 100 {
 		t.Errorf("untraced plan: %.0f allocations, want <= 100", untraced)
 	}
@@ -156,4 +161,161 @@ func TestPlannerTreeCacheGauge(t *testing.T) {
 	if m := get(); !strings.Contains(m, "cst_hybrid_cached_trees 2\n") {
 		t.Errorf("after plans at n=16 and n=64, /metrics lacks cst_hybrid_cached_trees 2:\n%s", m)
 	}
+}
+
+// A warm planner plans a set whose first-fit meets its width without a
+// single allocation on the wire path: the tree is cached, and the hybrid
+// scheduler's buffers, the plan and its power report are reused. Only the
+// conflict graph, the Exact search and padr runs allocate, and this set
+// needs none of them.
+func TestPlannerAllocFree(t *testing.T) {
+	var s *comm.Set
+	tree := topology.MustNew(64)
+	for _, c := range seededSets(t, 32) {
+		plan, err := hybrid.Schedule(tree, c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if plan.FirstFitRounds == plan.Width && plan.Strategy == hybrid.StrategyColoring {
+			s = c
+			break
+		}
+	}
+	if s == nil {
+		t.Fatal("no seeded set whose first-fit meets its width")
+	}
+	pl := NewPlanner(PlannerConfig{})
+	want := pl.Plan(s, protoWire, false)
+	if want.Status != http.StatusOK {
+		t.Fatalf("plan: %+v", want)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		if res := pl.Plan(s, protoWire, false); res.Status != want.Status || res.Units != want.Units || res.Rounds != want.Rounds {
+			t.Fatalf("plan %+v, want %+v", res, want)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("warm wire-form plan: %.1f allocations, want 0", allocs)
+	}
+}
+
+// maxSets returns the two maximum-size sets the retention test plans at n:
+// min(MaxPlanComms, n/2) circuits rightward through the root, one round
+// each, the most rounds and so the largest occupancy table a set at n
+// can need, and a random two-sided set of the same size.
+func maxSets(t *testing.T, rng *rand.Rand, n int) []*comm.Set {
+	t.Helper()
+	m := min(MaxPlanComms, n/2)
+	root := &comm.Set{N: n}
+	for i := 0; i < m; i++ {
+		root.Comms = append(root.Comms, comm.Comm{Src: i, Dst: n/2 + i})
+	}
+	random, err := comm.RandomTwoSided(rng, n, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return []*comm.Set{root, random}
+}
+
+// retained is the live heap after a full collection.
+func retained() uint64 {
+	runtime.GC()
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.HeapAlloc
+}
+
+// What a planner keeps between plans is the scratch of the largest plan it
+// has served, not a sum over the sizes it has seen: maximum-size sets at
+// every n up to MaxPlanPEs, then set-random-sized sets, leave no more
+// behind than the maximum-size plans at the cap do after empty plans at
+// every n (so that both hold the same cached trees). That worst case is
+// the figure MaxPlanPEs's comment states.
+func TestPlannerRetention(t *testing.T) {
+	rng := rand.New(rand.NewSource(16))
+	var sets [][]*comm.Set
+	for n := 2; n <= MaxPlanPEs; n *= 2 {
+		sets = append(sets, maxSets(t, rng, n))
+	}
+	plan := func(pl *Planner, s *comm.Set) {
+		if res := pl.Plan(s, protoWire, false); res.Status != http.StatusOK {
+			t.Fatalf("n=%d, %d comms: %+v", s.N, s.Len(), res)
+		}
+	}
+
+	base := retained()
+	largest := NewPlanner(PlannerConfig{})
+	for n := 2; n <= MaxPlanPEs; n *= 2 {
+		plan(largest, comm.NewSet(n))
+	}
+	for _, s := range sets[len(sets)-1] {
+		plan(largest, s)
+	}
+	one := retained() - base
+	runtime.KeepAlive(largest)
+
+	base = retained()
+	all := NewPlanner(PlannerConfig{})
+	for _, at := range sets {
+		for _, s := range at {
+			plan(all, s)
+		}
+	}
+	for _, s := range seededSets(t, 64) {
+		plan(all, s)
+	}
+	sum := retained() - base
+	runtime.KeepAlive(all)
+
+	t.Logf("retained with the trees: %.2f MiB after the largest plans, %.2f MiB after plans at every n",
+		float64(one)/(1<<20), float64(sum)/(1<<20))
+	if sum > one+one/100 {
+		t.Errorf("after plans at every n the planner retains %d bytes, after the largest plans %d", sum, one)
+	}
+	if one > 13<<20 {
+		t.Errorf("after the largest plans the planner retains %.2f MiB, want at most 13", float64(one)/(1<<20))
+	}
+}
+
+// Plans from several goroutines at once each get their own answer: the
+// planner copies a plan out of its one scheduler, round by round when the
+// caller asks for the schedule, before another plan may reuse it. Each
+// answer must equal a one-shot plan of the same set (run with -race).
+func TestPlannerConcurrentPlans(t *testing.T) {
+	sets := seededSets(t, 64)
+	tree := topology.MustNew(64)
+	want := make([]SetResult, len(sets))
+	for i, s := range sets {
+		plan, err := hybrid.Schedule(tree, s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = SetResult{Status: http.StatusOK, Rounds: plan.Rounds, Units: int64(plan.Report.TotalUnits())}
+		for _, round := range plan.Schedule.Rounds {
+			var rs []SetComm
+			for _, c := range round {
+				rs = append(rs, SetComm{Src: c.Src, Dst: c.Dst})
+			}
+			want[i].Schedule = append(want[i].Schedule, rs)
+		}
+	}
+	pl := NewPlanner(PlannerConfig{})
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for k := 0; k < 3*len(sets); k++ {
+				i := (k*7 + g*13) % len(sets)
+				res := pl.Plan(sets[i], protoHTTP, true)
+				if res.Status != want[i].Status || res.Rounds != want[i].Rounds || res.Units != want[i].Units ||
+					!reflect.DeepEqual(res.Schedule, want[i].Schedule) {
+					t.Errorf("set %d: plan %+v, want %+v", i, res, want[i])
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }
