@@ -270,7 +270,7 @@ type DataPlaneRecorder = deliver.Recorder
 
 // RoundConfig is one round's switch-configuration snapshot (as captured by
 // DataPlaneRecorder or baseline results) — the input to the energy model.
-type RoundConfig = deliver.RoundConfig
+type RoundConfig = circuit.RoundConfig
 
 // RenderSet draws a set in the paper's Fig. 2 style.
 func RenderSet(s *Set) string { return trace.RenderSet(s) }

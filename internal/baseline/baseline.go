@@ -29,7 +29,6 @@ import (
 
 	"cst/internal/circuit"
 	"cst/internal/comm"
-	"cst/internal/deliver"
 	"cst/internal/power"
 	"cst/internal/sched"
 	"cst/internal/topology"
@@ -76,7 +75,7 @@ type Result struct {
 	// Configs snapshots every switch's configuration at the end of each
 	// round (after stateless teardown + rebuild, if that mode is active);
 	// the energy model consumes these.
-	Configs []deliver.RoundConfig
+	Configs []circuit.RoundConfig
 }
 
 // DepthID schedules a well-nested set by nesting-depth IDs in the given
@@ -199,7 +198,7 @@ func Greedy(t *topology.Tree, s *comm.Set, mode power.Mode) (*Result, error) {
 // sched.Verify in tests; execute only guards internal errors).
 func execute(name string, t *topology.Tree, s *comm.Set, rounds [][]comm.Comm, mode power.Mode, width int) (*Result, error) {
 	switches := circuit.NewSwitches(t)
-	configs := make([]deliver.RoundConfig, 0, len(rounds))
+	configs := make([]circuit.RoundConfig, 0, len(rounds))
 	for _, round := range rounds {
 		if mode == power.Stateless {
 			t.EachSwitch(func(n topology.Node) { switches[n].Reset() })
@@ -209,7 +208,7 @@ func execute(name string, t *topology.Tree, s *comm.Set, rounds [][]comm.Comm, m
 				return nil, fmt.Errorf("baseline %s: %v", name, err)
 			}
 		}
-		snap := deliver.RoundConfig{}
+		snap := circuit.RoundConfig{}
 		t.EachSwitch(func(n topology.Node) { snap[n] = switches[n].Config() })
 		configs = append(configs, snap)
 	}

@@ -14,6 +14,10 @@ import (
 	"cst/internal/xbar"
 )
 
+// RoundConfig is a snapshot of every switch's configuration during one
+// round.
+type RoundConfig map[topology.Node]xbar.Config
+
 // childSide returns which side of parent the node child hangs on.
 func childSide(t *topology.Tree, child topology.Node) xbar.Side {
 	if t.IsLeftChild(child) {

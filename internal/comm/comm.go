@@ -196,13 +196,9 @@ func (s *Set) IsRightOriented() bool {
 // crossing spans — i.e. whether it corresponds to a balanced well-nested
 // parenthesis expression over the PE line.
 func (s *Set) IsWellNested() bool {
-	return s.Validate() == nil && s.IsRightOriented() && s.Nested()
-}
-
-// Nested is IsWellNested without its checks, for a caller that has already
-// validated the set and checked it right oriented: it reports whether no
-// two spans cross.
-func (s *Set) Nested() bool {
+	if s.Validate() != nil || !s.IsRightOriented() {
+		return false
+	}
 	// Scan left to right, maintaining a stack of open destinations. A source
 	// pushes its destination; a destination must match the innermost open
 	// one.
@@ -411,9 +407,8 @@ func (s *Set) Mirror() *Set {
 // left-oriented subset (paper §2.1: "Any set can be decomposed into two sets
 // each of them is oriented"). The left-oriented subset is returned mirrored
 // (i.e. as a right-oriented set over the reflected PE line) so that both
-// halves can be fed to the right-oriented scheduler. A schedule computed
-// for the mirrored half maps back to the original PE line with
-// sched.UnmirrorSchedule.
+// halves can be fed to the right-oriented scheduler; padr.WithReflection
+// runs the mirrored half on the physical switches its circuits use.
 func Decompose(s *Set) (right, leftMirrored *Set) {
 	right = &Set{N: s.N}
 	left := &Set{N: s.N}

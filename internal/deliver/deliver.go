@@ -12,6 +12,7 @@ package deliver
 import (
 	"fmt"
 
+	"cst/internal/circuit"
 	"cst/internal/comm"
 	"cst/internal/padr"
 	"cst/internal/topology"
@@ -21,10 +22,6 @@ import (
 // NoToken marks an idle link.
 const NoToken = -1
 
-// RoundConfig is a snapshot of every switch's configuration during one
-// round.
-type RoundConfig map[topology.Node]xbar.Config
-
 // Propagate pushes tokens through one round's configurations. sources lists
 // the PEs that drive their upward leaf link this round (each drives its own
 // PE index as the token). The result maps every PE to the token visible on
@@ -33,7 +30,7 @@ type RoundConfig map[topology.Node]xbar.Config
 // destinations' readings are meaningful, which is exactly what the paper's
 // Step 2.1 prescribes ("all PEs that receive [s,null] or [d,null] will
 // participate").
-func Propagate(t *topology.Tree, cfg RoundConfig, sources []int) []int {
+func Propagate(t *topology.Tree, cfg circuit.RoundConfig, sources []int) []int {
 	n := t.Leaves()
 	// up[node] is the token on the node→parent link half.
 	up := make(map[topology.Node]int, 2*n)
@@ -82,7 +79,7 @@ func Propagate(t *topology.Tree, cfg RoundConfig, sources []int) []int {
 
 // VerifyRound checks that every communication performed in a round actually
 // received its source's token through the configured circuits.
-func VerifyRound(t *topology.Tree, cfg RoundConfig, performed []comm.Comm) error {
+func VerifyRound(t *topology.Tree, cfg circuit.RoundConfig, performed []comm.Comm) error {
 	sources := make([]int, len(performed))
 	for i, c := range performed {
 		sources[i] = c.Src
@@ -99,16 +96,16 @@ func VerifyRound(t *topology.Tree, cfg RoundConfig, performed []comm.Comm) error
 // Recorder captures per-round configuration snapshots from a padr run.
 // Attach via Observer(), run the engine, then call Verify.
 type Recorder struct {
-	rounds    []RoundConfig
+	rounds    []circuit.RoundConfig
 	performed [][]comm.Comm
-	current   RoundConfig
+	current   circuit.RoundConfig
 }
 
 // Observer returns padr callbacks that populate the recorder. Compose by
 // hand if you also need your own callbacks.
 func (r *Recorder) Observer() padr.Observer {
 	return padr.Observer{
-		RoundStart: func(int) { r.current = RoundConfig{} },
+		RoundStart: func(int) { r.current = circuit.RoundConfig{} },
 		Configured: func(u topology.Node, cfg xbar.Config) {
 			r.current[u] = cfg
 		},
@@ -124,7 +121,7 @@ func (r *Recorder) Observer() padr.Observer {
 func (r *Recorder) Rounds() int { return len(r.rounds) }
 
 // Config returns the captured configuration snapshot of one round.
-func (r *Recorder) Config(round int) RoundConfig { return r.rounds[round] }
+func (r *Recorder) Config(round int) circuit.RoundConfig { return r.rounds[round] }
 
 // Verify replays every captured round through the data plane.
 func (r *Recorder) Verify(t *topology.Tree) error {

@@ -12,8 +12,8 @@ import (
 	"cst/internal/xbar"
 )
 
-func snapshot(t *topology.Tree, switches []*xbar.Switch) RoundConfig {
-	cfg := RoundConfig{}
+func snapshot(t *topology.Tree, switches []*xbar.Switch) circuit.RoundConfig {
+	cfg := circuit.RoundConfig{}
 	t.EachSwitch(func(n topology.Node) { cfg[n] = switches[n].Config() })
 	return cfg
 }
@@ -65,7 +65,7 @@ func TestVerifyRoundDetectsMisdelivery(t *testing.T) {
 
 func TestPropagateNoSources(t *testing.T) {
 	tr := topology.MustNew(4)
-	tokens := Propagate(tr, RoundConfig{}, nil)
+	tokens := Propagate(tr, circuit.RoundConfig{}, nil)
 	for pe, tok := range tokens {
 		if tok != NoToken {
 			t.Fatalf("PE %d read %d from an unconfigured tree", pe, tok)
@@ -130,7 +130,7 @@ func TestPADRDataPlaneRandom(t *testing.T) {
 }
 
 func TestRecorderMismatch(t *testing.T) {
-	r := &Recorder{rounds: []RoundConfig{{}}}
+	r := &Recorder{rounds: []circuit.RoundConfig{{}}}
 	if err := r.Verify(topology.MustNew(4)); err == nil {
 		t.Fatal("mismatched recorder must fail verification")
 	}

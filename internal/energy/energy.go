@@ -32,7 +32,7 @@ package energy
 import (
 	"fmt"
 
-	"cst/internal/deliver"
+	"cst/internal/circuit"
 	"cst/internal/topology"
 	"cst/internal/xbar"
 )
@@ -71,7 +71,7 @@ type Breakdown struct {
 // captured by deliver.Recorder or baseline.Result.Configs). Snapshots must
 // cover every switch that ever connects; switches absent from a snapshot
 // read as empty that round.
-func Evaluate(t *topology.Tree, rounds []deliver.RoundConfig, m Model) Breakdown {
+func Evaluate(t *topology.Tree, rounds []circuit.RoundConfig, m Model) Breakdown {
 	b := Breakdown{Rounds: len(rounds), Switches: t.Switches()}
 	prev := map[topology.Node]xbar.Config{}
 	t.EachSwitch(func(n topology.Node) { prev[n] = xbar.Config{} })
@@ -111,7 +111,7 @@ func (b Breakdown) String() string {
 // the lines intersect. A is conventionally the hold-heavy schedule (PADR)
 // and B the rebuild-heavy one; no crossover means A never loses (or never
 // wins) at any positive hold cost.
-func Crossover(t *topology.Tree, a, b []deliver.RoundConfig, setCost float64) (holdCost float64, exists bool) {
+func Crossover(t *topology.Tree, a, b []circuit.RoundConfig, setCost float64) (holdCost float64, exists bool) {
 	ba := Evaluate(t, a, Model{SetCost: setCost})
 	bb := Evaluate(t, b, Model{SetCost: setCost})
 	dSlope := float64(ba.ConnectionRounds - bb.ConnectionRounds)

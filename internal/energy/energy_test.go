@@ -29,7 +29,7 @@ func TestEvaluateHandBuilt(t *testing.T) {
 	tr := topology.MustNew(4) // switches 1,2,3
 	lr := cfgOf(t, [3]xbar.Side{xbar.L, xbar.R})
 	lp := cfgOf(t, [3]xbar.Side{xbar.L, xbar.P})
-	rounds := []deliver.RoundConfig{
+	rounds := []circuit.RoundConfig{
 		{1: lr},        // round 0: root connects l->r (1 change, 1 held)
 		{1: lr},        // round 1: held (0 changes, 1 held)
 		{1: lp, 2: lr}, // round 2: root changes, node 2 connects (2 changes, 2 held)
@@ -70,7 +70,7 @@ func TestPaperModelMatchesUnits(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rounds := make([]deliver.RoundConfig, rec.Rounds())
+	rounds := make([]circuit.RoundConfig, rec.Rounds())
 	for i := range rounds {
 		rounds[i] = rec.Config(i)
 	}
@@ -126,12 +126,12 @@ func TestOneShotScheduleTrajectories(t *testing.T) {
 // trades against re-establishment: phase A's circuits sit idle during phase
 // B and vice versa. Hold-everything pays hold energy through the idle
 // phases; drop-when-idle re-establishes on every recurrence.
-func alternatingPhases(t *testing.T, tr *topology.Tree, cycles int) (hold, drop []deliver.RoundConfig) {
+func alternatingPhases(t *testing.T, tr *topology.Tree, cycles int) (hold, drop []circuit.RoundConfig) {
 	t.Helper()
 	phaseA := []comm.Comm{{Src: 0, Dst: 5}, {Src: 8, Dst: 13}}    // left half
 	phaseB := []comm.Comm{{Src: 32, Dst: 37}, {Src: 40, Dst: 45}} // right half
 
-	snapshot := func(sets ...[]comm.Comm) deliver.RoundConfig {
+	snapshot := func(sets ...[]comm.Comm) circuit.RoundConfig {
 		switches := circuit.NewSwitches(tr)
 		for _, set := range sets {
 			for _, c := range set {
@@ -140,7 +140,7 @@ func alternatingPhases(t *testing.T, tr *topology.Tree, cycles int) (hold, drop 
 				}
 			}
 		}
-		cfg := deliver.RoundConfig{}
+		cfg := circuit.RoundConfig{}
 		tr.EachSwitch(func(n topology.Node) { cfg[n] = switches[n].Config() })
 		return cfg
 	}
@@ -190,7 +190,7 @@ func TestCrossoverOnRecurringPhases(t *testing.T) {
 
 func TestCrossoverDegenerate(t *testing.T) {
 	tr := topology.MustNew(4)
-	same := []deliver.RoundConfig{{}}
+	same := []circuit.RoundConfig{{}}
 	if _, ok := Crossover(tr, same, same, 1); ok {
 		t.Fatal("identical runs cannot cross")
 	}

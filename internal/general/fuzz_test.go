@@ -12,16 +12,18 @@ import (
 
 // FuzzOccupancyFirstFit feeds raw byte pairs as the endpoints of an
 // arbitrary mixed set and checks sched.FirstFit's occupancy table against
-// the conflict-graph first-fit it replaces: source-order assignGreedy on
-// Graph. Both must give the same rounds with the same contents in the same
-// order, and the table's width must be the graph's; one sched.FirstFitter
-// reused across the whole run must agree too. Graph's adjacency lists must
-// match a brute-force scan.
+// the conflict-graph first-fit it replaces: assignGreedy on Graph in
+// source order, descending when no communication is rightward. Both must
+// give the same rounds with the same contents in the same order, and the
+// table's width must be the graph's; one sched.FirstFitter reused across
+// the whole run must agree too. Graph's adjacency lists must match a
+// brute-force scan.
 func FuzzOccupancyFirstFit(f *testing.F) {
 	f.Add([]byte{0, 5, 3, 8, 12, 6, 14, 9}, uint8(0))
 	f.Add([]byte{0, 8, 1, 9, 2, 10, 3, 11}, uint8(1))
 	f.Add([]byte{10, 15, 14, 1, 12, 9, 6, 2, 8, 11, 3, 4, 0, 13, 7, 5}, uint8(0))
 	f.Add([]byte{}, uint8(2))
+	f.Add([]byte{3, 0, 5, 1, 6, 4}, uint8(0))
 	var ff sched.FirstFitter
 	f.Fuzz(func(t *testing.T, pairs []byte, size uint8) {
 		n := 8 << (size % 4) // 8 to 64 PEs
@@ -38,6 +40,9 @@ func FuzzOccupancyFirstFit(f *testing.F) {
 		g := Graph(tr, s)
 		order := identity(s.Len())
 		slices.SortFunc(order, func(a, b int) int { return cmp.Compare(s.Comms[a].Src, s.Comms[b].Src) })
+		if !slices.ContainsFunc(s.Comms, comm.Comm.RightOriented) {
+			slices.Reverse(order)
+		}
 		want := sched.FromRounds(s, assignGreedy(g, order))
 		if got.String() != want.String() {
 			t.Fatalf("set %v: occupancy first-fit\n%sgraph first-fit\n%s", s.Comms, got, want)

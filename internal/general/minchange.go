@@ -5,7 +5,6 @@ import (
 
 	"cst/internal/circuit"
 	"cst/internal/comm"
-	"cst/internal/deliver"
 	"cst/internal/energy"
 	"cst/internal/sched"
 	"cst/internal/topology"
@@ -162,7 +161,7 @@ func (m *minChangeSearch) dfs(i int) {
 // trajectory realization.
 func (m *minChangeSearch) evaluate() (changes, maxPerSwitch int) {
 	switches := circuit.NewSwitches(m.t)
-	configs := make([]deliver.RoundConfig, m.width)
+	configs := make([]circuit.RoundConfig, m.width)
 	for r := 0; r < m.width; r++ {
 		for i, round := range m.assign {
 			if round != r {
@@ -172,7 +171,7 @@ func (m *minChangeSearch) evaluate() (changes, maxPerSwitch int) {
 			// fail for in-range communications.
 			_ = circuit.Configure(m.t, switches, m.s.Comms[i])
 		}
-		snap := deliver.RoundConfig{}
+		snap := circuit.RoundConfig{}
 		m.t.EachSwitch(func(n topology.Node) { snap[n] = switches[n].Config() })
 		configs[r] = snap
 	}

@@ -76,7 +76,7 @@ func TestMinChangeOnDivergenceExample(t *testing.T) {
 	if _, err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	rounds := make([]deliver.RoundConfig, rec.Rounds())
+	rounds := make([]circuit.RoundConfig, rec.Rounds())
 	for i := range rounds {
 		rounds[i] = rec.Config(i)
 	}

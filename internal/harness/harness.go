@@ -620,8 +620,8 @@ func runE10(w io.Writer, cfg Config) error {
 // traffic that alternates between phases a and b, starting with a: hold
 // keeps every circuit once established (a, then a and b together), drop
 // keeps only the active phase's circuits.
-func holdDrop(tr *topology.Tree, cycles int, a, b []comm.Comm) (hold, drop []deliver.RoundConfig, err error) {
-	snapshot := func(sets ...[]comm.Comm) (deliver.RoundConfig, error) {
+func holdDrop(tr *topology.Tree, cycles int, a, b []comm.Comm) (hold, drop []circuit.RoundConfig, err error) {
+	snapshot := func(sets ...[]comm.Comm) (circuit.RoundConfig, error) {
 		switches := circuit.NewSwitches(tr)
 		for _, set := range sets {
 			for _, c := range set {
@@ -630,7 +630,7 @@ func holdDrop(tr *topology.Tree, cycles int, a, b []comm.Comm) (hold, drop []del
 				}
 			}
 		}
-		out := deliver.RoundConfig{}
+		out := circuit.RoundConfig{}
 		tr.EachSwitch(func(nd topology.Node) { out[nd] = switches[nd].Config() })
 		return out, nil
 	}
@@ -847,7 +847,7 @@ func runE13(w io.Writer, cfg Config) error {
 	if _, err := eng.Run(); err != nil {
 		return err
 	}
-	oneShot := make([]deliver.RoundConfig, rec.Rounds())
+	oneShot := make([]circuit.RoundConfig, rec.Rounds())
 	for i := range oneShot {
 		oneShot[i] = rec.Config(i)
 	}
@@ -952,7 +952,7 @@ func runE15(w io.Writer, cfg Config) error {
 			return 0, 0, err
 		}
 		rounds = res.Rounds
-		snaps := make([]deliver.RoundConfig, rec.Rounds())
+		snaps := make([]circuit.RoundConfig, rec.Rounds())
 		for i := range snaps {
 			snaps[i] = rec.Config(i)
 		}

@@ -15,7 +15,7 @@ import (
 // any field of any of those plans changes it, so a change to the planner
 // that must keep its plans (a faster graph build, a cheaper replay) keeps
 // this constant.
-const planDigest = "c3d69001e5c03b2fefdb3972eff64dab65faac11075f33aab66fef4757b7be0f"
+const planDigest = "ae8e7d11c651c27ac131cb4ce4cf44ddf75e1429d5885227fe4385f8e8c304c1"
 
 // hardBlock is a width-2 mixed set on 16 PEs whose source-order first-fit
 // needs 3 rounds, so the planner runs Exact on it, and whose Welsh–Powell
@@ -59,8 +59,8 @@ func budgetSet(rng *rand.Rand) *comm.Set {
 // field, the schedule's set and Schedule.String() over seeded
 // RandomTwoSided sets at N=16, 64 and 256 (default options, stateless
 // billing), over random well-nested sets and their mirror images (the
-// padr path), and over sets built to exhaust a tiny exact budget, so the
-// ErrBudget incumbent path is hashed too.
+// paper's inputs), and over sets built to exhaust a tiny exact budget, so
+// the ErrBudget incumbent path is hashed too.
 func TestPlanDigest(t *testing.T) {
 	random := func(n, maxComms int) func(*rand.Rand) *comm.Set {
 		return func(rng *rand.Rand) *comm.Set {

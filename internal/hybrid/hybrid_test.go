@@ -1,14 +1,17 @@
 package hybrid
 
 import (
+	"cmp"
 	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"cst/internal/audit"
 	"cst/internal/comm"
 	"cst/internal/general"
 	"cst/internal/obs"
+	"cst/internal/padr"
 	"cst/internal/power"
 	"cst/internal/topology"
 )
@@ -33,12 +36,17 @@ func ffComposite(t *testing.T, tr *topology.Tree, s *comm.Set) int {
 }
 
 // jointFirstFit is a test-local first-fit of the whole set: communications
-// in source order, each into the first round whose directed links it finds
-// free. Plan.FirstFitRounds must equal its round count.
+// in source order, descending when none is rightward, each into the first
+// round whose directed links it finds free. Plan.FirstFitRounds must equal
+// its round count.
 func jointFirstFit(t *testing.T, tr *topology.Tree, s *comm.Set) int {
 	t.Helper()
+	order := s.Sorted()
+	if !slices.ContainsFunc(order, comm.Comm.RightOriented) {
+		slices.Reverse(order)
+	}
 	var rounds []map[topology.Edge]bool
-	for _, c := range s.Sorted() {
+	for _, c := range order {
 		path, err := tr.PathEdges(c.Src, c.Dst)
 		if err != nil {
 			t.Fatal(err)
@@ -63,29 +71,64 @@ func jointFirstFit(t *testing.T, tr *topology.Tree, s *comm.Set) int {
 	return len(rounds)
 }
 
-// A one-orientation well-nested set, right oriented or mirrored, goes
-// through padr and takes exactly its width.
+// A one-orientation well-nested set, right oriented or mirrored, plans in
+// exactly its width, bound included, and padr is the oracle in both
+// billing modes: every round holds the communications padr's round holds,
+// mirrored for a left-oriented set, and the bill equals padr's meter in
+// total and on the hottest switch. The sets are a fixed one at N=16 and
+// seeded random ones at N = 16 to 1,024.
 func TestScheduleWellNestedUsesCircuitWidth(t *testing.T) {
-	tr := topology.MustNew(16)
-	right := comm.MustParse("((()))(())......")
-	for _, s := range []*comm.Set{right, right.Mirror()} {
-		w, err := s.Width(tr)
-		if err != nil {
-			t.Fatal(err)
+	sets := []*comm.Set{comm.MustParse("((()))(())......")}
+	rng := rand.New(rand.NewSource(16))
+	for _, n := range []int{16, 64, 256, 1024} {
+		for i := 0; i < 10; i++ {
+			s, err := comm.RandomWellNested(rng, n, 1+rng.Intn(n/2))
+			if err != nil {
+				t.Fatal(err)
+			}
+			sets = append(sets, s)
 		}
-		plan, err := Schedule(tr, s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if plan.Strategy != StrategyPeel || plan.Batches != 1 || plan.ResidualComms != 0 {
-			t.Fatalf("well-nested set %v: strategy=%s batches=%d residual=%d",
-				s.Comms, plan.Strategy, plan.Batches, plan.ResidualComms)
-		}
-		if plan.Rounds != w || plan.Bound != w {
-			t.Fatalf("well-nested set %v took %d rounds (bound %d), width %d", s.Comms, plan.Rounds, plan.Bound, w)
-		}
-		if err := plan.Schedule.Verify(tr); err != nil {
-			t.Fatal(err)
+	}
+	bySrc := func(a, b comm.Comm) int { return cmp.Compare(a.Src, b.Src) }
+	for _, right := range sets {
+		tr := topology.MustNew(right.N)
+		for _, mode := range []power.Mode{power.Stateful, power.Stateless} {
+			eng, err := padr.New(tr, right, padr.WithMode(mode))
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := eng.Run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, s := range []*comm.Set{right, right.Mirror()} {
+				plan, err := Schedule(tr, s, WithMode(mode))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if w := res.Width; plan.Width != w || plan.Rounds != w || plan.Bound != w {
+					t.Fatalf("%s set %v: width %d, rounds %d, bound %d; padr width %d",
+						mode, s.Comms, plan.Width, plan.Rounds, plan.Bound, w)
+				}
+				for r, round := range res.Schedule.Rounds {
+					want := slices.Clone(round)
+					if s != right {
+						for i, c := range want {
+							want[i] = comm.Comm{Src: s.N - 1 - c.Src, Dst: s.N - 1 - c.Dst}
+						}
+					}
+					got := slices.Clone(plan.Schedule.Rounds[r])
+					slices.SortFunc(want, bySrc)
+					slices.SortFunc(got, bySrc)
+					if !slices.Equal(got, want) {
+						t.Fatalf("%s set %v: round %d holds %v, padr's %v", mode, s.Comms, r, got, want)
+					}
+				}
+				if got, want := plan.Report.TotalUnits(), res.Report.TotalUnits(); got != want || plan.Report.MaxUnits() != res.Report.MaxUnits() {
+					t.Fatalf("%s set %v: billed %d units (hottest switch %d), padr %d (%d)",
+						mode, s.Comms, got, plan.Report.MaxUnits(), want, res.Report.MaxUnits())
+				}
+			}
 		}
 	}
 }

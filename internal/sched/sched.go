@@ -61,27 +61,6 @@ func (s *Schedule) String() string {
 	return out
 }
 
-// UnmirrorSchedule maps a schedule computed on the mirrored PE line (such
-// as the leftMirrored half of comm.Decompose, scheduled by a right-oriented
-// engine) back onto the original line: every endpoint p becomes N-1-p, so
-// each mirrored right-oriented communication turns back into the original
-// left-oriented one. Round structure is preserved — reflection is a tree
-// automorphism, so a compatible round stays compatible (each circuit maps
-// onto the reflected switches edge for edge). The input is not modified.
-func UnmirrorSchedule(s *Schedule) *Schedule {
-	out := &Schedule{Set: s.Set.Mirror(), Rounds: make([][]comm.Comm, len(s.Rounds))}
-	flat := make([]comm.Comm, s.TotalScheduled())
-	for i, r := range s.Rounds {
-		round := flat[:len(r):len(r)]
-		flat = flat[len(r):]
-		for j, c := range r {
-			round[j] = comm.Comm{Src: s.Set.N - 1 - c.Src, Dst: s.Set.N - 1 - c.Dst}
-		}
-		out.Rounds[i] = round
-	}
-	return out
-}
-
 // Verify checks the schedule against the tree:
 //
 //  1. every round is compatible (no directed tree link used twice),

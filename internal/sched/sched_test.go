@@ -2,6 +2,8 @@ package sched
 
 import (
 	"math/rand"
+	"reflect"
+	"sort"
 	"strings"
 	"testing"
 
@@ -18,90 +20,58 @@ func set(t *testing.T, expr string) *comm.Set {
 	return s
 }
 
-// greedyPack is a minimal in-test scheduler: first round whose directed
-// links are all free (the general package cannot be imported here — it
-// depends on sched).
+// greedyPack is a minimal in-test scheduler (the general package cannot be
+// imported here — it depends on sched): each communication, in ascending
+// source order or, when none is rightward, descending, goes into the first
+// round whose directed links are all free, and each round lists its
+// communications in the set's order.
 func greedyPack(t *testing.T, tr *topology.Tree, s *comm.Set) *Schedule {
 	t.Helper()
-	sch := &Schedule{Set: s.Clone()}
-	var congestion [][]bool
+	leftward := true
 	for _, c := range s.Comms {
-		edges, err := tr.PathEdges(c.Src, c.Dst)
+		leftward = leftward && c.Src > c.Dst
+	}
+	order := make([]int, s.Len())
+	for i := range order {
+		order[i] = i
+	}
+	sort.Slice(order, func(a, b int) bool {
+		x, y := s.Comms[order[a]].Src, s.Comms[order[b]].Src
+		if leftward {
+			return x > y
+		}
+		return x < y
+	})
+	var congestion [][]bool
+	rounds := make([]int, s.Len())
+	for _, i := range order {
+		edges, err := tr.PathEdges(s.Comms[i].Src, s.Comms[i].Dst)
 		if err != nil {
 			t.Fatal(err)
 		}
-		placed := false
-		for r := 0; r < len(sch.Rounds) && !placed; r++ {
+		r := 0
+		for ; r < len(congestion); r++ {
 			free := true
 			for _, e := range edges {
-				if congestion[r][tr.EdgeIndex(e)] {
-					free = false
-					break
-				}
+				free = free && !congestion[r][tr.EdgeIndex(e)]
 			}
 			if free {
-				for _, e := range edges {
-					congestion[r][tr.EdgeIndex(e)] = true
-				}
-				sch.Rounds[r] = append(sch.Rounds[r], c)
-				placed = true
+				break
 			}
 		}
-		if !placed {
-			row := make([]bool, tr.DirectedEdgeCount())
-			for _, e := range edges {
-				row[tr.EdgeIndex(e)] = true
-			}
-			congestion = append(congestion, row)
-			sch.Rounds = append(sch.Rounds, []comm.Comm{c})
+		if r == len(congestion) {
+			congestion = append(congestion, make([]bool, tr.DirectedEdgeCount()))
 		}
+		for _, e := range edges {
+			congestion[r][tr.EdgeIndex(e)] = true
+		}
+		rounds[i] = r
+	}
+	sch := &Schedule{Set: s.Clone(), Rounds: make([][]comm.Comm, len(congestion))}
+	for i, c := range s.Comms {
+		sch.Rounds[rounds[i]] = append(sch.Rounds[rounds[i]], c)
 	}
 	return sch
-}
-
-// Differential round trip for UnmirrorSchedule: schedule the mirrored half
-// of a decomposition, map it back, and the result must be a valid schedule
-// of the original left-oriented set — same round count, and unmirroring
-// twice is the identity.
-func TestUnmirrorScheduleRoundTrip(t *testing.T) {
-	tr := topology.MustNew(16)
-	rng := rand.New(rand.NewSource(11))
-	for trial := 0; trial < 100; trial++ {
-		right, err := comm.RandomOriented(rng, 16, 1+rng.Intn(7))
-		if err != nil {
-			t.Fatal(err)
-		}
-		left := right.Mirror() // a purely left-oriented "original" set
-		_, leftMirrored := comm.Decompose(left)
-		mirroredSch := greedyPack(t, tr, leftMirrored)
-		if err := mirroredSch.Verify(tr); err != nil {
-			t.Fatalf("trial %d: mirrored schedule invalid: %v", trial, err)
-		}
-		back := UnmirrorSchedule(mirroredSch)
-		if err := back.Verify(tr); err != nil {
-			t.Fatalf("trial %d: unmirrored schedule invalid on the original line: %v", trial, err)
-		}
-		if back.NumRounds() != mirroredSch.NumRounds() {
-			t.Fatalf("trial %d: unmirroring changed round count %d -> %d",
-				trial, mirroredSch.NumRounds(), back.NumRounds())
-		}
-		// The unmirrored schedule covers exactly the original left set.
-		if got, want := back.Set.String(), left.String(); got != want {
-			t.Fatalf("trial %d: unmirrored set %q, want %q", trial, got, want)
-		}
-		// Involution: unmirroring twice restores the mirrored schedule.
-		twice := UnmirrorSchedule(back)
-		if twice.Set.String() != leftMirrored.String() {
-			t.Fatalf("trial %d: double unmirror lost the set", trial)
-		}
-		for i := range twice.Rounds {
-			for j, c := range twice.Rounds[i] {
-				if c != mirroredSch.Rounds[i][j] {
-					t.Fatalf("trial %d: double unmirror changed round %d", trial, i)
-				}
-			}
-		}
-	}
 }
 
 func TestVerifyAcceptsValidSchedule(t *testing.T) {
@@ -295,9 +265,9 @@ func TestVerifyRejectsDuplicateInSet(t *testing.T) {
 	}
 }
 
-// FirstFit places communications in source order; on a set already listed
-// in source order it must match greedyPack round for round, and its width
-// must be the set's.
+// FirstFit must match greedyPack round for round on two-sided sets and on
+// one-orientation sets in both orientations, crossing ones included, and
+// its width must be the set's.
 func TestFirstFitMatchesGreedyPack(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	for _, n := range []int{8, 32, 128} {
@@ -307,16 +277,58 @@ func TestFirstFitMatchesGreedyPack(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			s.Comms = s.Sorted()
-			got, width := FirstFit(tr, s)
-			if want := greedyPack(t, tr, s); got.String() != want.String() {
-				t.Fatalf("set %v: FirstFit\n%sgreedyPack\n%s", s.Comms, got, want)
-			}
-			if w, err := s.Width(tr); err != nil || width != w {
-				t.Fatalf("set %v: FirstFit width %d, set width %d (%v)", s.Comms, width, w, err)
-			}
-			if err := got.Verify(tr); err != nil {
+			right, err := comm.RandomOriented(rng, n, 1+rng.Intn(n/2))
+			if err != nil {
 				t.Fatal(err)
+			}
+			for _, s := range []*comm.Set{s, right, right.Mirror()} {
+				got, width := FirstFit(tr, s)
+				if want := greedyPack(t, tr, s); got.String() != want.String() {
+					t.Fatalf("set %v: FirstFit\n%sgreedyPack\n%s", s.Comms, got, want)
+				}
+				if w, err := s.Width(tr); err != nil || width != w {
+					t.Fatalf("set %v: FirstFit width %d, set width %d (%v)", s.Comms, width, w, err)
+				}
+				if err := got.Verify(tr); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+}
+
+// FirstFit of a one-orientation set, crossing or well nested, is the
+// mirror image of FirstFit of its mirror: the same round for each
+// communication, so the same rounds listed in the same order, and the
+// same width.
+func TestFirstFitMirrorsOneOrientationSets(t *testing.T) {
+	rng := rand.New(rand.NewSource(18))
+	for _, n := range []int{4, 16, 64, 256} {
+		tr := topology.MustNew(n)
+		for trial := 0; trial < 100; trial++ {
+			gen := comm.RandomOriented
+			if trial%2 == 1 {
+				gen = comm.RandomWellNested
+			}
+			right, err := gen(rng, n, 1+rng.Intn(n/2))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, s := range []*comm.Set{right, right.Mirror()} {
+				// The first call's schedule is FirstFitter storage, so it is
+				// copied out before the second call.
+				var f FirstFitter
+				sch, width := f.FirstFit(tr, s)
+				want := make([][]comm.Comm, len(sch.Rounds))
+				for r, round := range sch.Rounds {
+					for _, c := range round {
+						want[r] = append(want[r], comm.Comm{Src: n - 1 - c.Src, Dst: n - 1 - c.Dst})
+					}
+				}
+				mirror, mirrorWidth := f.FirstFit(tr, s.Mirror())
+				if !reflect.DeepEqual(mirror.Rounds, want) || mirrorWidth != width {
+					t.Fatalf("set %v (width %d): FirstFit of its mirror (width %d)\n%v\nwant\n%v", s.Comms, width, mirrorWidth, mirror.Rounds, want)
+				}
 			}
 		}
 	}

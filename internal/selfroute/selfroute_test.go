@@ -21,7 +21,7 @@ func TestRouteSingleRightward(t *testing.T) {
 		t.Fatalf("hops = %d, want 5", hops)
 	}
 	// The data plane must deliver: the same check Theorem 4 uses.
-	cfg := deliver.RoundConfig{}
+	cfg := circuit.RoundConfig{}
 	tr.EachSwitch(func(n topology.Node) { cfg[n] = switches[n].Config() })
 	if err := deliver.VerifyRound(tr, cfg, []comm.Comm{{Src: 0, Dst: 7}}); err != nil {
 		t.Fatal(err)
@@ -35,7 +35,7 @@ func TestRouteLeftward(t *testing.T) {
 	if _, err := Route(tr, switches, comm.Comm{Src: 6, Dst: 1}); err != nil {
 		t.Fatal(err)
 	}
-	cfg := deliver.RoundConfig{}
+	cfg := circuit.RoundConfig{}
 	tr.EachSwitch(func(n topology.Node) { cfg[n] = switches[n].Config() })
 	if err := deliver.VerifyRound(tr, cfg, []comm.Comm{{Src: 6, Dst: 1}}); err != nil {
 		t.Fatal(err)
@@ -149,7 +149,7 @@ func TestRouteAllRandomDisjoint(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		cfg := deliver.RoundConfig{}
+		cfg := circuit.RoundConfig{}
 		tr.EachSwitch(func(n topology.Node) { cfg[n] = switches[n].Config() })
 		if err := deliver.VerifyRound(tr, cfg, s.Comms); err != nil {
 			t.Fatalf("set %v: %v", s.Comms, err)

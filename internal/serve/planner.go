@@ -2,10 +2,11 @@
 // Pool answers point requests (one src/dst pair against a live simulator),
 // the Planner answers whole communication sets — including non-well-nested
 // ones — by running the hybrid planner (one coloring of the whole set over
-// directed tree links, or padr for the paper's own inputs) and returning
-// the plan's shape and power bill. Planning is CPU work on one
-// hybrid.Scheduler, whose buffers every plan reuses, so a mutex serializes
-// plans; the per-size topology trees are cached across requests.
+// directed tree links, which on the paper's own inputs is the paper's
+// schedule) and returning the plan's shape and power bill. Planning is CPU
+// work on one hybrid.Scheduler, whose buffers every plan reuses, so a
+// mutex serializes plans; the per-size topology trees are cached across
+// requests.
 //
 // The Planner deliberately does not touch the Pool: admission counters,
 // the drain ledger and the zero-alloc pair path are invariants of the
@@ -33,11 +34,13 @@ const MaxPlanComms = 1024
 // MaxPlanPEs caps the PE count n of a planned set on both transports.
 // Planning costs O(n) whatever the set's size, so n, not the comm count,
 // bounds what one request can cost: on a 2-vCPU Xeon VM a one-comm plan
-// (the paper's input, which padr plans on a fresh engine) at n = 16,384
-// took about 5 ms and allocated 8 MiB, at n = 65,536 about 17 ms and
-// 32 MiB, all under the planner's mutex. The cap also bounds the tree
-// cache to log2(MaxPlanPEs) trees (0.4 MiB at the cap), and it leaves 8x
-// room over the n = 2,048 a full MaxPlanComms set needs.
+// at n = 16,384 takes about 0.14 ms on a warm planner, with no
+// allocation, and the first plan at that n, which builds the tree and
+// grows the scheduler's buffers, about 1.3 ms and 3 MiB; at n = 65,536
+// the two take 0.7 ms, and 2.2 ms and 12 MiB, all under the planner's
+// mutex. The cap also bounds the tree cache to log2(MaxPlanPEs) trees
+// (0.4 MiB at the cap), and it leaves 8x room over the n = 2,048 a full
+// MaxPlanComms set needs.
 //
 // It bounds what the planner retains between plans too: its one
 // hybrid.Scheduler keeps the scratch of the largest plan it has served.
@@ -116,14 +119,12 @@ type SetResult struct {
 	Rounds int `json:"rounds"`
 	Bound  int `json:"bound"`
 	Width  int `json:"width"`
-	// Batches is 1 when padr scheduled the set and 0 otherwise;
-	// ResidualComms is how many communications were colored, the whole
-	// set or none.
-	Batches       int `json:"batches"`
-	ResidualComms int `json:"residual_comms"`
-	// Strategy names the planner, hybrid.StrategyPeel (padr) or
+	// Batches, ResidualComms and Strategy carry hybrid.Plan's fields of
+	// the same names: on every plan 0, the set's size and
 	// hybrid.StrategyColoring.
-	Strategy string `json:"strategy,omitempty"`
+	Batches       int    `json:"batches"`
+	ResidualComms int    `json:"residual_comms"`
+	Strategy      string `json:"strategy,omitempty"`
 	// Units is the composite power bill in switch-round units.
 	Units     int64 `json:"units"`
 	Exhausted bool  `json:"exhausted,omitempty"`
@@ -271,12 +272,10 @@ func (p *Planner) schedule(s *comm.Set, includeRounds bool, planCtx obs.SpanCont
 	return res
 }
 
-// strategyCode maps a Plan strategy name onto its wire code.
+// strategyCode maps a SetResult's strategy onto its wire code: a plan's
+// is StrategyColoring, and a refused set carries none.
 func strategyCode(s string) uint8 {
-	switch s {
-	case hybrid.StrategyPeel:
-		return wire.StrategyPeel
-	case hybrid.StrategyColoring:
+	if s == hybrid.StrategyColoring {
 		return wire.StrategyColoring
 	}
 	return wire.StrategyNone

@@ -166,36 +166,47 @@ func TestPlannerTreeCacheGauge(t *testing.T) {
 // A warm planner plans a set whose first-fit meets its width without a
 // single allocation on the wire path: the tree is cached, and the hybrid
 // scheduler's buffers, the plan and its power report are reused. Only the
-// conflict graph, the Exact search and padr runs allocate, and this set
-// needs none of them.
+// conflict graph and the Exact search allocate, and none of these sets
+// needs them: a seeded set-random set whose first-fit meets its width, a
+// well-nested set at N=64 and its mirror image (the paper's inputs, which
+// first-fit plans in their width), and one communication at MaxPlanPEs.
 func TestPlannerAllocFree(t *testing.T) {
-	var s *comm.Set
+	var sets []*comm.Set
 	tree := topology.MustNew(64)
 	for _, c := range seededSets(t, 32) {
 		plan, err := hybrid.Schedule(tree, c)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if plan.FirstFitRounds == plan.Width && plan.Strategy == hybrid.StrategyColoring {
-			s = c
+		if plan.FirstFitRounds == plan.Width {
+			sets = append(sets, c)
 			break
 		}
 	}
-	if s == nil {
+	if len(sets) == 0 {
 		t.Fatal("no seeded set whose first-fit meets its width")
 	}
-	pl := NewPlanner(PlannerConfig{})
-	want := pl.Plan(s, protoWire, false)
-	if want.Status != http.StatusOK {
-		t.Fatalf("plan: %+v", want)
+	nested, err := comm.RandomWellNested(rand.New(rand.NewSource(64)), 64, 24)
+	if err != nil {
+		t.Fatal(err)
 	}
-	allocs := testing.AllocsPerRun(100, func() {
-		if res := pl.Plan(s, protoWire, false); res.Status != want.Status || res.Units != want.Units || res.Rounds != want.Rounds {
-			t.Fatalf("plan %+v, want %+v", res, want)
+	sets = append(sets, nested, nested.Mirror(), comm.NewSet(MaxPlanPEs, comm.Comm{Src: 0, Dst: MaxPlanPEs - 1}))
+	pl := NewPlanner(PlannerConfig{})
+	want := make([]SetResult, len(sets))
+	for i, s := range sets {
+		if want[i] = pl.Plan(s, protoWire, false); want[i].Status != http.StatusOK {
+			t.Fatalf("plan: %+v", want[i])
 		}
-	})
-	if allocs != 0 {
-		t.Errorf("warm wire-form plan: %.1f allocations, want 0", allocs)
+	}
+	for i, s := range sets {
+		allocs := testing.AllocsPerRun(100, func() {
+			if res := pl.Plan(s, protoWire, false); res.Status != want[i].Status || res.Units != want[i].Units || res.Rounds != want[i].Rounds {
+				t.Fatalf("plan %+v, want %+v", res, want[i])
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("warm wire-form plan of %d comms at n=%d: %.1f allocations, want 0", s.Len(), s.N, allocs)
+		}
 	}
 }
 

@@ -490,8 +490,8 @@ func TestWireSetRoundtrip(t *testing.T) {
 	if sr.Rounds < 1 || sr.Rounds > sr.Bound || sr.Units <= 0 {
 		t.Fatalf("set plan shape: %+v", sr)
 	}
-	if sr.Strategy != wire.StrategyPeel && sr.Strategy != wire.StrategyColoring {
-		t.Fatalf("strategy code %d", sr.Strategy)
+	if sr.Strategy != wire.StrategyColoring || sr.Batches != 0 || sr.Residual != len(req.Pairs) {
+		t.Fatalf("strategy code %d, batches %d, residual %d", sr.Strategy, sr.Batches, sr.Residual)
 	}
 
 	// An invalid set (self loop) answers 400 without killing the session.

@@ -3,6 +3,7 @@ package timing_test
 import (
 	"fmt"
 
+	"cst/internal/circuit"
 	"cst/internal/comm"
 	"cst/internal/deliver"
 	"cst/internal/padr"
@@ -20,7 +21,7 @@ func ExampleMakespan() {
 		fmt.Println(err)
 		return
 	}
-	rounds := make([]deliver.RoundConfig, rec.Rounds())
+	rounds := make([]circuit.RoundConfig, rec.Rounds())
 	for i := range rounds {
 		rounds[i] = rec.Config(i)
 	}

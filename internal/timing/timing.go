@@ -22,7 +22,7 @@ package timing
 import (
 	"fmt"
 
-	"cst/internal/deliver"
+	"cst/internal/circuit"
 	"cst/internal/topology"
 	"cst/internal/xbar"
 )
@@ -58,7 +58,7 @@ func (b Breakdown) String() string {
 }
 
 // Makespan prices a run from its per-round configuration snapshots.
-func Makespan(t *topology.Tree, rounds []deliver.RoundConfig, p Params) Breakdown {
+func Makespan(t *topology.Tree, rounds []circuit.RoundConfig, p Params) Breakdown {
 	b := Breakdown{Rounds: len(rounds)}
 	levels := t.Levels()
 	b.Wave = p.WaveCyclePerLevel * levels // Phase 1 convergecast

@@ -15,7 +15,7 @@ import (
 // 4-cycle reconfiguration stall, one transfer cycle.
 var conventional = Params{WaveCyclePerLevel: 1, ReconfigCycles: 4, TransferCycles: 1}
 
-func snapshot(t *testing.T, tr *topology.Tree, sets ...[]comm.Comm) deliver.RoundConfig {
+func snapshot(t *testing.T, tr *topology.Tree, sets ...[]comm.Comm) circuit.RoundConfig {
 	t.Helper()
 	switches := circuit.NewSwitches(tr)
 	for _, set := range sets {
@@ -25,7 +25,7 @@ func snapshot(t *testing.T, tr *topology.Tree, sets ...[]comm.Comm) deliver.Roun
 			}
 		}
 	}
-	cfg := deliver.RoundConfig{}
+	cfg := circuit.RoundConfig{}
 	tr.EachSwitch(func(n topology.Node) { cfg[n] = switches[n].Config() })
 	return cfg
 }
@@ -34,7 +34,7 @@ func TestMakespanHandBuilt(t *testing.T) {
 	tr := topology.MustNew(16) // 4 levels
 	cfgA := snapshot(t, tr, []comm.Comm{{Src: 0, Dst: 5}})
 	// Three rounds: A (change), A held (no change), A again (no change).
-	rounds := []deliver.RoundConfig{cfgA, cfgA, cfgA}
+	rounds := []circuit.RoundConfig{cfgA, cfgA, cfgA}
 	b := Makespan(tr, rounds, Params{WaveCyclePerLevel: 1, ReconfigCycles: 4, TransferCycles: 1})
 	// Wave: phase1 (4) + 3 rounds * 4 = 16; reconfig: 4 (round 0 only);
 	// transfer: 3.
@@ -68,7 +68,7 @@ func TestHoldVersusDropStalls(t *testing.T) {
 	cfgAB := snapshot(t, tr, phaseA, phaseB)
 
 	const cycles = 12
-	var hold, drop []deliver.RoundConfig
+	var hold, drop []circuit.RoundConfig
 	for i := 0; i < cycles; i++ {
 		if i == 0 {
 			hold = append(hold, cfgA)
@@ -111,7 +111,7 @@ func TestOneShotStallsEveryRound(t *testing.T) {
 	if _, err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	rounds := make([]deliver.RoundConfig, rec.Rounds())
+	rounds := make([]circuit.RoundConfig, rec.Rounds())
 	for i := range rounds {
 		rounds[i] = rec.Config(i)
 	}

@@ -10,6 +10,7 @@ import (
 	"sort"
 	"strings"
 
+	"cst/internal/circuit"
 	"cst/internal/comm"
 	"cst/internal/ctrl"
 	"cst/internal/deliver"
@@ -75,7 +76,7 @@ func RenderSet(s *comm.Set) string {
 // RenderTree draws the tree with one annotation per switch, typically its
 // live configuration (Fig. 1 style). Pass nil to annotate switch roles from
 // the stored words instead.
-func RenderTree(t *topology.Tree, cfg deliver.RoundConfig, s *comm.Set) string {
+func RenderTree(t *topology.Tree, cfg circuit.RoundConfig, s *comm.Set) string {
 	return t.ASCII(func(n topology.Node) string {
 		if t.IsLeaf(n) {
 			pe := t.PE(n)

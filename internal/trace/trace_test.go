@@ -5,9 +5,9 @@ import (
 	"strings"
 	"testing"
 
+	"cst/internal/circuit"
 	"cst/internal/comm"
 	"cst/internal/ctrl"
-	"cst/internal/deliver"
 	"cst/internal/padr"
 	"cst/internal/topology"
 )
@@ -74,7 +74,7 @@ func TestRenderTree(t *testing.T) {
 			t.Errorf("RenderTree missing %q:\n%s", want, out)
 		}
 	}
-	cfg := deliver.RoundConfig{}
+	cfg := circuit.RoundConfig{}
 	out = RenderTree(tr, cfg, s)
 	if !strings.Contains(out, "·") {
 		t.Errorf("idle switches should render ·:\n%s", out)

@@ -126,8 +126,8 @@ const (
 const (
 	// StrategyNone is the zero strategy (non-200 answers).
 	StrategyNone = 0
-	// StrategyPeel is a plan padr scheduled: the set was one-orientation
-	// and well nested, the paper's input.
+	// StrategyPeel is carried by no plan: the planner colors every set.
+	// The code stays reserved, and servebench names it.
 	StrategyPeel = 1
 	// StrategyColoring is a coloring of the whole set over directed tree
 	// links.
@@ -212,8 +212,8 @@ type SetRequest struct {
 // HTTP mapping (200 planned, 400 invalid set, 501 planner disabled, 503
 // draining); the plan fields are meaningful only for status 200. Units is
 // the composite power bill, Strategy one of the Strategy* codes; Batches
-// is 1 for a padr plan and 0 otherwise, Residual the number of colored
-// communications (see serve.SetResult).
+// and Residual carry the plan's fields of those names (see
+// serve.SetResult).
 type SetResponse struct {
 	ID       uint64
 	Status   int
